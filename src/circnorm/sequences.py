@@ -5,15 +5,20 @@ are exact at any index (Fibonacci-class growth leaves 64-bit range near
 n = 93, and the identity checks below are meaningful only when exact).
 All functions are pure and RecurrenceSpec is immutable, so values can
 be shared freely across threads.
+
+There are two ways to get terms. prefix lists t(0), ..., t(n-1) in one
+linear pass and is what circulant rows and direct sums are built from.
+term jumps straight to one index by polynomial exponentiation (C. M.
+Fiduccia, SIAM J. Comput. 14(1), 1985) in O(k**2 log n) multiplications,
+so closed_form_sum, which needs only a term or two, costs O(log n)
+products rather than a walk from t(0).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from operator import index as _as_int
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import UnsupportedSequence
 
@@ -109,29 +114,70 @@ def resolve(seq: SequenceId) -> RecurrenceSpec:
     )
 
 
-def _iter_terms(spec: RecurrenceSpec) -> Iterator[int]:
-    """Yield t(0), t(1), ... forever, exactly."""
-    window = deque(spec.initial_terms, maxlen=spec.order)
-    yield from spec.initial_terms
-    coeffs = spec.coefficients
-    while True:
-        nxt = sum(a * t for a, t in zip(coeffs, reversed(window)))
-        window.append(nxt)
-        yield nxt
+def _square_mod(r: list[int], taps: list[tuple[int, int]]) -> list[int]:
+    """r(x)**2 mod x**k - a1*x**(k-1) - ... - ak, as k coefficients (k = len(r)).
+
+    ``taps`` lists the nonzero (j, a_j); polynomials are coefficient lists,
+    lowest degree first.
+    """
+    k = len(r)
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(r):
+        if x:
+            for j, y in enumerate(r):
+                prod[i + j] += x * y
+    # x**d = sum_j a_j x**(d-j) for d >= k; fold from the top down.
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        if c:
+            for j, a in taps:
+                prod[d - j] += c if a == 1 else a * c
+    return prod[:k]
 
 
 def term(seq: SequenceId, n: int) -> int:
-    """Exact n-th term (zero-based); for n < order this is an initial term."""
+    """Exact n-th term (zero-based); for n < order this is an initial term.
+
+    Fiduccia's method: r(x) = x**n mod (x**k - a1*x**(k-1) - ... - ak) by
+    square-and-multiply, then t(n) = sum_i r_i * t(i). That is O(log n)
+    polynomial products of O(k**2) big-integer multiplications each, for
+    every recurrence (any order, zero or negative coefficients).
+    """
     if n < 0:
         raise ValueError("term index must be nonnegative")
-    return next(islice(_iter_terms(resolve(seq)), n, None))
+    spec = resolve(seq)
+    k = spec.order
+    if n < k:
+        return spec.initial_terms[n]
+    taps = [(j, a) for j, a in enumerate(spec.coefficients, start=1) if a]
+    r = [1] + [0] * (k - 1)
+    for bit in bin(n)[2:]:
+        r = _square_mod(r, taps)
+        if bit == "1":  # multiply by x: shift up, fold the x**k coefficient
+            top = r.pop()
+            r.insert(0, 0)
+            for j, a in taps:
+                r[k - j] += a * top
+    return sum(c * t for c, t in zip(r, spec.initial_terms))
 
 
 def prefix(seq: SequenceId, n: int) -> list[int]:
-    """First n terms [t(0), ..., t(n-1)], generated in one linear pass."""
+    """First n terms [t(0), ..., t(n-1)], generated in one linear pass.
+
+    Each new term costs one big-integer addition per nonzero coefficient
+    (plus a multiplication where the coefficient is not 1).
+    """
     if n < 1:
         raise ValueError("term count must be positive")
-    return list(islice(_iter_terms(resolve(seq)), n))
+    spec = resolve(seq)
+    terms = list(spec.initial_terms[:n])
+    taps = [(j, a) for j, a in enumerate(spec.coefficients, start=1) if a]
+    for _ in range(len(terms), n):
+        total = 0
+        for j, a in taps:
+            total += terms[-j] if a == 1 else a * terms[-j]
+        terms.append(total)
+    return terms
 
 
 def prefix_sum(seq: SequenceId, n: int) -> int:
@@ -141,17 +187,6 @@ def prefix_sum(seq: SequenceId, n: int) -> int:
     against; it never goes through floating point.
     """
     return sum(prefix(seq, n))
-
-
-def _builtin_name(seq: SequenceId) -> str:
-    if isinstance(seq, RecurrenceSpec):
-        raise UnsupportedSequence("no closed-form sum for custom recurrence specs")
-    name = seq.lower() if isinstance(seq, str) else seq
-    if name not in BUILTIN_SEQUENCES:
-        raise UnsupportedSequence(
-            f"unknown sequence {seq!r}; expected one of {sorted(BUILTIN_SEQUENCES)}"
-        )
-    return name
 
 
 def closed_form_sum(seq: SequenceId, n: int) -> int:
@@ -170,12 +205,14 @@ def closed_form_sum(seq: SequenceId, n: int) -> int:
     """
     if n < 1:
         raise ValueError("term count must be positive")
-    name = _builtin_name(seq)
-    if name == "fibonacci":
+    if isinstance(seq, RecurrenceSpec):
+        raise UnsupportedSequence("no closed-form sum for custom recurrence specs")
+    spec = resolve(seq)
+    if spec is FIBONACCI:
         return term(FIBONACCI, n + 1) - 1
-    if name == "lucas":
+    if spec is LUCAS:
         return term(FIBONACCI, n + 2) + term(FIBONACCI, n) - 1
-    if name == "pell":
+    if spec is PELL:
         numerator = term(PELL, n) + term(PELL, n - 1) - 1
         half, rem = divmod(numerator, 2)
         if rem:  # unreachable: Pell parities alternate, so the numerator is even
@@ -226,10 +263,13 @@ def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    name = _builtin_name(seq)
+    if isinstance(seq, RecurrenceSpec):
+        raise UnsupportedSequence("no closed-form sum for custom recurrence specs")
+    resolve(seq)  # raises UnsupportedSequence for an unknown name
+    name = seq.lower()
     # Index reach per formula: F(n+2) for lucas, P(n) for pell, R(n+4) for perrin.
     own = prefix(name, n_max + 5)
-    fib = prefix(FIBONACCI, n_max + 3) if name in ("fibonacci", "lucas") else []
+    fib = prefix(FIBONACCI, n_max + 3) if name == "lucas" else own
 
     rows = []
     running = 0

@@ -1,7 +1,8 @@
 """Shared brute-force oracles, kept independent of the library code paths.
 
-The sequence oracle accumulates a plain list instead of the library's
-windowed generator; the circulant oracles build the dense matrix from
+The sequence oracle appends every term to a plain list straight from the
+recurrence, where the library's term jumps to one index by polynomial
+exponentiation; the circulant oracles build the dense matrix from
 the entry law and multiply with explicit loops; the transform oracle
 evaluates the defining O(n^2) sums with cmath. Tests freeze expected
 values computed by these, then check the fast paths against them.

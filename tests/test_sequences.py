@@ -97,6 +97,25 @@ class TestTerm:
         assert term("fibonacci", 200) == fib[200]
         assert term("fibonacci", 200) > 2**128
 
+    @given(spec=recurrence_specs(), n=st.integers(min_value=0, max_value=300))
+    def test_custom_matches_oracle(self, spec, n):
+        expected = oracle_terms(spec.coefficients, spec.initial_terms, n + 1)[n]
+        assert term(spec, n) == expected
+
+    @pytest.mark.parametrize("m", [49_999, 50_000, 50_001])
+    def test_fibonacci_large_index(self, m):
+        # Doubling identities F(2m) = F(m)(2F(m+1) - F(m)) and
+        # F(2m+1) = F(m+1)**2 + F(m)**2, plus F(m) mod p by a plain loop so
+        # that an all-zero answer cannot satisfy them.
+        f_m, f_next = term("fibonacci", m), term("fibonacci", m + 1)
+        assert term("fibonacci", 2 * m) == f_m * (2 * f_next - f_m)
+        assert term("fibonacci", 2 * m + 1) == f_next**2 + f_m**2
+        p = 1_000_000_007
+        a, b = 0, 1
+        for _ in range(m):
+            a, b = b, (a + b) % p
+        assert f_m % p == a
+
 
 class TestPrefix:
     def test_frozen_values(self):
