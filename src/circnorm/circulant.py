@@ -51,13 +51,13 @@ class CirculantMatrix:
     first_row: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        row = tuple(_as_int(c) for c in self.first_row)
+        row = tuple(map(_as_int, self.first_row))
         object.__setattr__(self, "first_row", row)
         if not row:
             raise ValueError("circulant matrix needs at least one entry")
-        for c in row:
-            if c < 0:
-                raise NegativeEntry(f"first row contains negative entry {c}")
+        if min(row) < 0:
+            first = next(c for c in row if c < 0)
+            raise NegativeEntry(f"first row contains negative entry {first}")
 
     @property
     def order(self) -> int:

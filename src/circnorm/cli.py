@@ -225,18 +225,19 @@ def _finite(value: float | None) -> float | None:
     return value
 
 
+def _method_entry(r: spectral.MethodResult) -> dict:
+    return {
+        "method": r.method,
+        "value": _finite(r.value),
+        "exact_value": None if r.exact_value is None else str(r.exact_value),
+        "note": r.note,
+    }
+
+
 def _report_payload(report: spectral.NormReport) -> dict:
     return {
         "order": report.order,
-        "methods": [
-            {
-                "method": r.method,
-                "value": _finite(r.value),
-                "exact_value": None if r.exact_value is None else str(r.exact_value),
-                "note": r.note,
-            }
-            for r in report.methods
-        ],
+        "methods": [_method_entry(r) for r in report.methods],
         "max_pairwise_relative_gap": report.max_pairwise_relative_gap,
         "rel_tol": report.rel_tol,
         "agrees": report.agrees,
@@ -411,70 +412,28 @@ def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     try:
         for n in args.n:
             matrix = circulant.from_sequence(seq, n)
-            max_entry = max(matrix.first_row)
-            values: dict[str, float] = {}
-            n_rows = []
-            for method in spectral.METHOD_NAMES:
-                skipped_note = None
-                if method == "dft" and max_entry >= circulant.EXACT_DOUBLE_BOUND:
-                    skipped_note = "skipped: entries reach 2**53"
-                if method == "power" and max_entry >= spectral.GRAM_SAFE_BOUND:
-                    skipped_note = "skipped: entries reach 2**26"
-                row = {
-                    "n": n,
-                    "method": method,
-                    "reps": args.reps,
-                    "median_seconds": None,
-                    "value": None,
-                    "exact_value": None,
-                    "note": skipped_note,
-                    "agrees": None,
-                }
-                if skipped_note is None:
-                    if method == "sum":
-                        seconds, exact = _timed(
-                            lambda: spectral.spectral_norm_sum(matrix), args.reps
-                        )
-                        row["exact_value"] = str(exact)
-                        try:
-                            row["value"] = _finite(float(exact))
-                        except OverflowError:
-                            row["value"] = None
-                    elif method == "dft":
-                        seconds, value = _timed(
-                            lambda: spectral.spectral_norm_dft(matrix), args.reps
-                        )
-                        row["value"] = value
-                    else:
-                        seconds, outcome = _timed(
-                            lambda: spectral.spectral_norm_power(
-                                matrix, rel_tol=args.rel_tol
-                            ),
-                            args.reps,
-                        )
-                        value, record = outcome
-                        row["value"] = value
-                        if not record.converged:
-                            row["note"] = (
-                                f"no convergence after {record.iterations} iterations"
-                            )
-                    row["median_seconds"] = seconds
-                    if row["value"] is not None:
-                        values[method] = row["value"]
-                n_rows.append(row)
-            gap = 0.0
-            if len(values) >= 2:
-                pairs = list(values.values())
-                denom = max(max(pairs), 1.0)
-                gap = max(
-                    abs(a - b) for i, a in enumerate(pairs) for b in pairs[i + 1 :]
-                ) / denom
-            agrees = gap <= args.rel_tol
-            all_agree = all_agree and agrees
-            for row in n_rows:
-                if row["value"] is not None:
-                    row["agrees"] = agrees
-            rows.extend(n_rows)
+            timed = [
+                _timed(
+                    lambda: spectral.run_method(matrix, method, rel_tol=args.rel_tol),
+                    args.reps,
+                )
+                for method in spectral.METHOD_NAMES
+            ]
+            report = spectral.norm_report(n, [r for _, r in timed], args.rel_tol)
+            all_agree = all_agree and report.agrees
+            for seconds, r in timed:
+                entry = _method_entry(r)
+                rows.append(
+                    {
+                        "n": n,
+                        "method": r.method,  # also in entry; placed for key order
+                        "reps": args.reps,
+                        # A skipped method ran nothing worth timing.
+                        "median_seconds": None if r.value is None else seconds,
+                        **entry,
+                        "agrees": None if entry["value"] is None else report.agrees,
+                    }
+                )
     except CircnormError as exc:
         return _fail("bench", params, exc)
 

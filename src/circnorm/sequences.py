@@ -84,14 +84,22 @@ BUILTIN_SEQUENCES: dict[str, RecurrenceSpec] = {
     "perrin": PERRIN,
 }
 
+# Partial-sum identities, sum_{i<n} t(i) = (form(t, f, n) - c) / divisor,
+# per builtin: (the identity as usually published, the constant c that
+# closed_form_sum ships, divisor, form). t and f map an index to a term of
+# the sequence itself and of Fibonacci. Every published form has c = 1.
+_SUM_IDENTITIES = {
+    "fibonacci": ("F(n+1) - 1", 1, 1, lambda t, f, n: f(n + 1)),
+    "lucas": ("F(n+2) + F(n) - 1", 1, 1, lambda t, f, n: f(n + 2) + f(n)),
+    "pell": ("(P(n) + P(n-1) - 1) / 2", 1, 2, lambda t, f, n: t(n) + t(n - 1)),
+    "perrin": ("R(n+4) - 1", 2, 1, lambda t, f, n: t(n + 4)),
+}
+
 #: Partial-sum identities as usually published, sum_{i<n} t(i) = form(n).
 #: The Perrin form is reproduced verbatim even though it is off by a
 #: constant; see audit_closed_form_identity.
 PUBLISHED_SUM_FORMS: dict[str, str] = {
-    "fibonacci": "F(n+1) - 1",
-    "lucas": "F(n+2) + F(n) - 1",
-    "pell": "(P(n) + P(n-1) - 1) / 2",
-    "perrin": "R(n+4) - 1",
+    name: row[0] for name, row in _SUM_IDENTITIES.items()
 }
 
 #: A sequence is either a builtin name ("fibonacci", "lucas", "pell",
@@ -189,15 +197,19 @@ def prefix_sum(seq: SequenceId, n: int) -> int:
     return sum(prefix(seq, n))
 
 
+def _builtin_name(seq: SequenceId) -> str:
+    """Lower-case builtin name; UnsupportedSequence for anything else."""
+    if isinstance(seq, RecurrenceSpec):
+        raise UnsupportedSequence("no closed-form sum for custom recurrence specs")
+    resolve(seq)  # raises UnsupportedSequence for an unknown name
+    return seq.lower()
+
+
 def closed_form_sum(seq: SequenceId, n: int) -> int:
     """Partial-sum value by closed form; equals prefix_sum on every builtin.
 
-    fibonacci: F(n+1) - 1
-    lucas:     F(n+2) + F(n) - 1   (equivalently L(n+1) - 1)
-    pell:      (P(n) + P(n-1) - 1) / 2
-    perrin:    R(n+4) - 2
-
-    The Perrin form is the constant-corrected variant: the identity as
+    The forms are those of PUBLISHED_SUM_FORMS (lucas: equivalently
+    L(n+1) - 1), except that Perrin ships R(n+4) - 2: the identity as
     usually published, R(n+4) - 1, overshoots direct summation by exactly
     one at every n (run audit_closed_form_identity to see this per n).
 
@@ -205,20 +217,14 @@ def closed_form_sum(seq: SequenceId, n: int) -> int:
     """
     if n < 1:
         raise ValueError("term count must be positive")
-    if isinstance(seq, RecurrenceSpec):
-        raise UnsupportedSequence("no closed-form sum for custom recurrence specs")
-    spec = resolve(seq)
-    if spec is FIBONACCI:
-        return term(FIBONACCI, n + 1) - 1
-    if spec is LUCAS:
-        return term(FIBONACCI, n + 2) + term(FIBONACCI, n) - 1
-    if spec is PELL:
-        numerator = term(PELL, n) + term(PELL, n - 1) - 1
-        half, rem = divmod(numerator, 2)
-        if rem:  # unreachable: Pell parities alternate, so the numerator is even
-            raise ArithmeticError("Pell closed form produced an odd numerator")
-        return half
-    return term(PERRIN, n + 4) - 2
+    name = _builtin_name(seq)
+    _, constant, divisor, form = _SUM_IDENTITIES[name]
+    spec = BUILTIN_SEQUENCES[name]
+    numerator = form(lambda i: term(spec, i), lambda i: term(FIBONACCI, i), n)
+    value, rem = divmod(numerator - constant, divisor)
+    if rem:  # unreachable: Pell parities alternate, so the numerator is even
+        raise ArithmeticError("Pell closed form produced an odd numerator")
+    return value
 
 
 @dataclass(frozen=True)
@@ -263,10 +269,8 @@ def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    if isinstance(seq, RecurrenceSpec):
-        raise UnsupportedSequence("no closed-form sum for custom recurrence specs")
-    resolve(seq)  # raises UnsupportedSequence for an unknown name
-    name = seq.lower()
+    name = _builtin_name(seq)
+    published, _, divisor, form = _SUM_IDENTITIES[name]
     # Index reach per formula: F(n+2) for lucas, P(n) for pell, R(n+4) for perrin.
     own = prefix(name, n_max + 5)
     fib = prefix(FIBONACCI, n_max + 3) if name == "lucas" else own
@@ -275,26 +279,13 @@ def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:
     running = 0
     for n in range(1, n_max + 1):
         running += own[n - 1]
-        divides = True
-        if name == "fibonacci":
-            value = fib[n + 1] - 1
-        elif name == "lucas":
-            value = fib[n + 2] + fib[n] - 1
-        elif name == "pell":
-            value, rem = divmod(own[n] + own[n - 1] - 1, 2)
-            divides = rem == 0
-        else:
-            value = own[n + 4] - 1
+        value, rem = divmod(form(own.__getitem__, fib.__getitem__, n) - 1, divisor)
         rows.append(
             AuditRow(
                 n=n,
                 published_value=value,
                 direct_sum=running,
-                matches=divides and value == running,
+                matches=rem == 0 and value == running,
             )
         )
-    return IdentityAudit(
-        sequence=name,
-        published_form=PUBLISHED_SUM_FORMS[name],
-        rows=tuple(rows),
-    )
+    return IdentityAudit(sequence=name, published_form=published, rows=tuple(rows))

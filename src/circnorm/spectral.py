@@ -36,12 +36,16 @@ __all__ = [
     "spectral_norm_dft",
     "spectral_norm_power",
     "spectral_radius",
+    "run_method",
+    "norm_report",
     "compare_methods",
 ]
 
-#: Entry guard for the power path: the Gram matrix is formed in exact
-#: integers first, and entries below 2**26 keep its float64 conversion
-#: faithful at desk scale.
+#: Entry guard for the power path. Below 2**26 every product of two
+#: entries is below 2**52, and the Gram matrix is formed from them in
+#: exact integers. A Gram entry sums n such products, so it can pass
+#: 2**53; it then rounds once, to within relative 2**-53, on conversion
+#: to float64.
 GRAM_SAFE_BOUND = 2**26
 
 METHOD_NAMES = ("sum", "dft", "power")
@@ -52,23 +56,19 @@ def spectral_norm_sum(matrix: CirculantMatrix) -> int:
     return sum(matrix.first_row)
 
 
-def spectral_radius(matrix: CirculantMatrix) -> float:
-    """max_k |lambda_k| over the DFT eigenvalues.
+def spectral_norm_dft(matrix: CirculantMatrix) -> float:
+    """Spectral norm via diagonalization: max_k |lambda_k| over the DFT eigenvalues.
 
-    For nonnegative rows the maximum is attained at k = 0, where the
-    eigenvalue is real and equals the entry sum.
+    Norm equals spectral radius because a circulant is normal (it
+    commutes with its transpose). For nonnegative rows the maximum is
+    attained at k = 0, where the eigenvalue is real and equals the entry
+    sum.
     """
     return float(np.abs(eigenvalues_dft(matrix).values).max())
 
 
-def spectral_norm_dft(matrix: CirculantMatrix) -> float:
-    """Spectral norm via diagonalization; identical to spectral_radius.
-
-    Exposed separately because norm-equals-radius is exactly the step
-    that needs a normal matrix, and keeping both names makes the
-    cross-checks read naturally.
-    """
-    return spectral_radius(matrix)
+#: The same function under the name of what it computes.
+spectral_radius = spectral_norm_dft
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,12 @@ def spectral_norm_power(
 ) -> tuple[float, ConvergenceRecord]:
     """Spectral norm as sqrt of the dominant eigenvalue of G = A^T A.
 
-    G is formed in exact integer arithmetic, converted to float64, and
-    iterated from the deterministic all-ones seed, which is never
-    orthogonal to the Perron direction of a nonnegative symmetric
-    matrix. Convergence requires both conditions at once:
+    G is formed in exact integer arithmetic and converted to float64,
+    where an entry past 2**53 rounds once, to within relative 2**-53
+    (see GRAM_SAFE_BOUND). It is iterated from the deterministic
+    all-ones seed, which is never orthogonal to the Perron direction of
+    a nonnegative symmetric matrix. Convergence requires both conditions
+    at once:
 
       * relative change of the Rayleigh quotient below rel_tol, and
       * residual ||G v - theta v|| / theta below 10 * rel_tol,
@@ -159,6 +161,65 @@ class NormReport:
     agrees: bool
 
 
+def run_method(
+    matrix: CirculantMatrix,
+    method: str,
+    rel_tol: float = 1e-8,
+    max_iter: int | None = None,
+) -> MethodResult:
+    """Run one norm method on one matrix behind its entry guard.
+
+    A method whose guard is violated (dft needs entries below 2**53,
+    power below 2**26) is skipped: its value is None and its note names
+    the bound. The sum's float value is inf past the float64 range. A
+    power run that exhausts max_iter keeps its estimate and says so in
+    the note. Raises ValueError for a method not in METHOD_NAMES.
+    """
+    if method == "sum":
+        exact = spectral_norm_sum(matrix)
+        try:
+            value = float(exact)
+        except OverflowError:
+            value = math.inf
+        return MethodResult("sum", value, exact_value=exact)
+    if method == "dft":
+        if max(matrix.first_row) >= EXACT_DOUBLE_BOUND:
+            return MethodResult("dft", None, note="skipped: entries reach 2**53")
+        return MethodResult("dft", spectral_norm_dft(matrix))
+    if method == "power":
+        if max(matrix.first_row) >= GRAM_SAFE_BOUND:
+            return MethodResult("power", None, note="skipped: entries reach 2**26")
+        value, record = spectral_norm_power(matrix, rel_tol=rel_tol, max_iter=max_iter)
+        note = None
+        if not record.converged:
+            note = f"no convergence after {record.iterations} iterations"
+        return MethodResult("power", value, note=note)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+
+
+def norm_report(
+    order: int, results: Sequence[MethodResult], rel_tol: float
+) -> NormReport:
+    """Cross-check the values of results against each other.
+
+    Skipped methods (value None) take no part. The pairwise gap divides
+    by max(values, 1), so the all-zero matrix agrees trivially, and
+    agrees is gap <= rel_tol.
+    """
+    values = [r.value for r in results if r.value is not None]
+    gap = 0.0
+    if len(values) >= 2:
+        denom = max(max(values), 1.0)
+        gap = max(abs(a - b) for a, b in combinations(values, 2)) / denom
+    return NormReport(
+        order=order,
+        methods=tuple(results),
+        max_pairwise_relative_gap=gap,
+        rel_tol=rel_tol,
+        agrees=gap <= rel_tol,
+    )
+
+
 def compare_methods(
     matrix: CirculantMatrix,
     rel_tol: float = 1e-8,
@@ -167,57 +228,15 @@ def compare_methods(
 ) -> NormReport:
     """Run the requested norm methods and report their mutual agreement.
 
-    Methods whose entry guard is violated (power needs entries below
-    2**26, dft below 2**53) are skipped and marked in their note instead
-    of raising, as is a power run that fails to converge. The pairwise
-    gap divides by max(values, 1), so the all-zero matrix agrees
-    trivially, and agrees is gap <= rel_tol.
+    Each method goes through run_method, so one whose entry guard is
+    violated is skipped and marked in its note instead of raising, as
+    is a power run that fails to converge. norm_report then computes the
+    pairwise gap and the agrees flag. Duplicate method names run once;
+    unknown ones raise ValueError before anything runs.
     """
     wanted = list(dict.fromkeys(methods))
     unknown = [m for m in wanted if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {METHOD_NAMES}")
-
-    max_entry = max(matrix.first_row)
-    results: list[MethodResult] = []
-    for method in wanted:
-        if method == "sum":
-            exact = spectral_norm_sum(matrix)
-            try:
-                value = float(exact)
-            except OverflowError:
-                value = math.inf
-            results.append(MethodResult("sum", value, exact_value=exact))
-        elif method == "dft":
-            if max_entry >= EXACT_DOUBLE_BOUND:
-                results.append(
-                    MethodResult("dft", None, note="skipped: entries reach 2**53")
-                )
-            else:
-                results.append(MethodResult("dft", spectral_norm_dft(matrix)))
-        else:
-            if max_entry >= GRAM_SAFE_BOUND:
-                results.append(
-                    MethodResult("power", None, note="skipped: entries reach 2**26")
-                )
-            else:
-                value, record = spectral_norm_power(
-                    matrix, rel_tol=rel_tol, max_iter=max_iter
-                )
-                note = None
-                if not record.converged:
-                    note = f"no convergence after {record.iterations} iterations"
-                results.append(MethodResult("power", value, note=note))
-
-    values = [r.value for r in results if r.value is not None]
-    gap = 0.0
-    if len(values) >= 2:
-        denom = max(max(values), 1.0)
-        gap = max(abs(a - b) for a, b in combinations(values, 2)) / denom
-    return NormReport(
-        order=matrix.order,
-        methods=tuple(results),
-        max_pairwise_relative_gap=gap,
-        rel_tol=rel_tol,
-        agrees=gap <= rel_tol,
-    )
+    results = [run_method(matrix, m, rel_tol=rel_tol, max_iter=max_iter) for m in wanted]
+    return norm_report(matrix.order, results, rel_tol)

@@ -45,6 +45,10 @@ class TestCirculantMatrix:
         with pytest.raises(NegativeEntry):
             CirculantMatrix((1, -1))
 
+    def test_negative_error_names_first_entry(self):
+        with pytest.raises(NegativeEntry, match="negative entry -1$"):
+            CirculantMatrix((1, -1, -5))
+
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             CirculantMatrix((1.5, 2.5))

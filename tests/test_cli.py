@@ -236,6 +236,31 @@ class TestBenchCommand:
         assert code == 0
         assert all(row["n"] == 1 for row in doc["results"]["rows"])
 
+    @pytest.mark.parametrize(
+        "seq_args, n",
+        [
+            (("--id", "lucas"), 16),
+            (("--id", "perrin"), 1),
+            (("--id", "pell"), 64),
+            (("--id", "custom", "--spec", "k=1;coef=1;init=67108864"), 3),
+            (("--id", "custom", "--spec", "k=1;coef=10;init=1"), 400),
+        ],
+    )
+    def test_rows_match_norm(self, capsys, seq_args, n):
+        _, out, _ = run_cli(capsys, "bench", *seq_args, "--n", str(n), "--reps", "1")
+        rows = parse_record(out)["results"]["rows"]
+        _, out, _ = run_cli(capsys, "norm", *seq_args, "--n", str(n))
+        report = parse_record(out)["results"]
+        methods = [m["method"] for m in report["methods"]]
+        assert [row["method"] for row in rows] == methods
+        for row, entry in zip(rows, report["methods"]):
+            for key in ("value", "exact_value", "note"):
+                assert row[key] == entry[key]
+            skipped = entry["note"] is not None and entry["note"].startswith("skipped")
+            assert (row["median_seconds"] is None) == skipped
+            ran = entry["value"] is not None
+            assert row["agrees"] == (report["agrees"] if ran else None)
+
     def test_disagreement_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(
             circnorm.spectral, "spectral_norm_dft", lambda matrix: 0.5

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import circnorm.sequences
 from circnorm import (
     FIBONACCI,
     LUCAS,
@@ -220,6 +221,18 @@ class TestAudit:
 
     def test_lucas_all_match(self):
         assert audit_closed_form_identity("lucas", 50).all_match
+
+    def test_odd_pell_numerator_is_flagged(self, monkeypatch):
+        # Unreachable with the real Pell parities: shift the numerator by one
+        # so every halving leaves a remainder but floors to the direct sum.
+        text, constant, divisor, form = circnorm.sequences._SUM_IDENTITIES["pell"]
+        odd = (text, constant, divisor, lambda t, f, n: form(t, f, n) + 1)
+        monkeypatch.setitem(circnorm.sequences._SUM_IDENTITIES, "pell", odd)
+        audit = audit_closed_form_identity("pell", 6)
+        assert all(row.published_value == row.direct_sum for row in audit.rows)
+        assert audit.match_count == 0
+        with pytest.raises(ArithmeticError):
+            closed_form_sum("pell", 6)
 
     def test_perrin_printed_form_never_matches(self):
         audit = audit_closed_form_identity("perrin", 50)

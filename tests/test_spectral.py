@@ -17,6 +17,8 @@ from circnorm import (
     spectral_radius,
 )
 
+from circnorm.spectral import run_method
+
 from conftest import oracle_builtin
 
 
@@ -128,6 +130,14 @@ class TestSpectralNormPower:
         value, _ = spectral_norm_power(CirculantMatrix((2**26 - 1, 1)))
         assert value == pytest.approx(float(2**26), rel=1e-8)
 
+    def test_rounding_gram_regime(self):
+        # Entries in [2**25, 2**26): every Gram entry passes 2**53 and rounds.
+        rng = np.random.default_rng(2026)
+        row = tuple(int(x) for x in rng.integers(2**25, 2**26, size=64))
+        value, record = spectral_norm_power(CirculantMatrix(row))
+        assert record.converged
+        assert rel_close(value, float(sum(row)), 1e-8)
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             spectral_norm_power(CirculantMatrix((1, 2)), rel_tol=0.0)
@@ -231,6 +241,37 @@ class TestCompareMethods:
     def test_report_is_deterministic(self):
         matrix = from_sequence("pell", 12)
         assert compare_methods(matrix) == compare_methods(matrix)
+
+
+class TestRunMethod:
+    @pytest.mark.parametrize(
+        "method, bound, note",
+        [
+            ("dft", 2**53, "skipped: entries reach 2**53"),
+            ("power", 2**26, "skipped: entries reach 2**26"),
+        ],
+    )
+    def test_guard_is_exact(self, method, bound, note):
+        skipped = run_method(CirculantMatrix((bound, 1)), method)
+        assert skipped.value is None
+        assert skipped.note == note
+        ran = run_method(CirculantMatrix((bound - 1, 1)), method)
+        assert ran.note is None
+        assert ran.value == pytest.approx(float(bound), rel=1e-8)
+
+    def test_sum_past_float_range(self):
+        matrix = CirculantMatrix((10**400,))
+        result = run_method(matrix, "sum")
+        assert result.value == math.inf
+        assert result.exact_value == 10**400
+        for method in ("dft", "power"):
+            skipped = run_method(matrix, method)
+            assert skipped.value is None
+            assert skipped.note.startswith("skipped: ")
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            run_method(CirculantMatrix((1,)), "qr")
 
 
 class TestDefaults:
