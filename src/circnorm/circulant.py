@@ -121,8 +121,9 @@ def matvec_naive(matrix: CirculantMatrix, vector: Sequence[int]) -> list[int]:
 def _require_exact_double(values, what: str) -> None:
     for x in values:
         if isinstance(x, (int, np.integer)) and abs(int(x)) >= EXACT_DOUBLE_BOUND:
+            bits = abs(int(x)).bit_length()  # past 4300 digits an int has no str()
             raise PrecisionLoss(
-                f"{what} {x} has magnitude >= 2**53 and would round in float64"
+                f"{what} of {bits} bits reaches 2**53 and would round in float64"
             )
 
 

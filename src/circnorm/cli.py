@@ -1,9 +1,13 @@
 """Command-line front end: seq, norm, verify, bench.
 
-Each invocation writes one JSON document to stdout (bench and verify can
-emit CSV tables instead); diagnostics go to stderr. Exact integers are
-serialized as decimal strings so arbitrarily large values survive JSON
-consumers that parse numbers as float64.
+main owns the output envelope of all four commands. Each run writes
+exactly one document or table to stdout: the JSON OutputRecord, whose
+parameters echo the parsed arguments, or, for verify and bench with
+--format csv, one CSV table of the result rows. A CircnormError raised by
+a command yields the JSON error document and exit 1 under either
+--format. Diagnostics go to stderr. Exact integers are serialized as
+decimal strings so arbitrarily large values survive JSON consumers that
+parse numbers as float64.
 
 Exit codes: 0 success / all checks agree, 1 verification or computation
 failure, 2 usage error.
@@ -106,8 +110,8 @@ def _positive_int_list(text: str) -> list[int]:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
     return value
 
 
@@ -176,145 +180,93 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sequence_from_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> tuple[str, sequences.SequenceId]:
-    """(label, sequence id) from --id/--spec; exits 2 on misuse."""
+) -> sequences.SequenceId:
+    """The sequence --id/--spec names ("all" for verify); exits 2 on misuse."""
     if args.id == "custom":
         if not getattr(args, "spec", None):
             parser.error("--id custom requires --spec")
         try:
-            return "custom", parse_spec(args.spec)
+            return parse_spec(args.spec)
         except ValueError as exc:
             parser.error(f"bad --spec: {exc}")
     if getattr(args, "spec", None):
         parser.error("--spec only applies with --id custom")
-    return args.id, args.id
+    return args.id
 
 
-def _parse_methods(parser: argparse.ArgumentParser, text: str) -> tuple[str, ...]:
+def _parse_methods(parser: argparse.ArgumentParser, text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         parser.error("--methods must name at least one method")
     if "all" in names:
-        return spectral.METHOD_NAMES
+        return list(spectral.METHOD_NAMES)
     bad = [m for m in names if m not in spectral.METHOD_NAMES]
     if bad:
         parser.error(
             f"unknown methods {bad}; choose from {list(spectral.METHOD_NAMES)} or 'all'"
         )
-    return tuple(dict.fromkeys(names))
-
-
-def _emit(record: OutputRecord) -> None:
-    print(record.to_json())
-
-
-def _fail(command: str, parameters: dict, exc: CircnormError) -> int:
-    _emit(
-        OutputRecord(
-            command,
-            parameters,
-            error={"type": type(exc).__name__, "message": str(exc)},
-        )
-    )
-    return 1
-
-
-def _finite(value: float | None) -> float | None:
-    if value is None or not math.isfinite(value):
-        return None
-    return value
+    return list(dict.fromkeys(names))
 
 
 def _method_entry(r: spectral.MethodResult) -> dict:
     return {
         "method": r.method,
-        "value": _finite(r.value),
+        "value": r.value if r.value is not None and math.isfinite(r.value) else None,
         "exact_value": None if r.exact_value is None else str(r.exact_value),
         "note": r.note,
     }
 
 
-def _report_payload(report: spectral.NormReport) -> dict:
-    return {
+def _circulants(seq: sequences.SequenceId, orders: list[int]):
+    """circ(t(0), ..., t(n-1)) for each n in orders, all sliced from one prefix."""
+    terms = sequences.prefix(seq, max(orders))
+    return (circulant.CirculantMatrix(tuple(terms[:n])) for n in orders)
+
+
+#: What each command hands main to wrap: (results, CSV columns or None, ok).
+_Outcome = tuple[dict, list[str] | None, bool]
+
+
+def cmd_seq(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
+    terms = sequences.prefix(seq, args.n)
+    results: dict = {"terms": [str(t) for t in terms]}
+    if args.sum:
+        direct = sum(terms)
+        closed = None if args.id == "custom" else sequences.closed_form_sum(seq, args.n)
+        results["prefix_sum"] = str(direct)
+        results["closed_form_sum"] = None if closed is None else str(closed)
+        results["closed_form_matches"] = None if closed is None else closed == direct
+    return results, None, True
+
+
+def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
+    matrix = circulant.from_sequence(seq, args.n)
+    report = spectral.compare_methods(matrix, rel_tol=args.rel_tol, methods=args.methods)
+    results = {
         "order": report.order,
         "methods": [_method_entry(r) for r in report.methods],
         "max_pairwise_relative_gap": report.max_pairwise_relative_gap,
         "rel_tol": report.rel_tol,
         "agrees": report.agrees,
     }
+    return results, None, report.agrees
 
 
-def cmd_seq(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    label, seq = _sequence_from_args(parser, args)
-    params: dict = {"id": label, "n": args.n, "sum": bool(args.sum)}
-    if label == "custom":
-        params["spec"] = args.spec
-    try:
-        terms = sequences.prefix(seq, args.n)
-        results: dict = {"terms": [str(t) for t in terms]}
-        if args.sum:
-            direct = sum(terms)
-            results["prefix_sum"] = str(direct)
-            if label == "custom":
-                results["closed_form_sum"] = None
-                results["closed_form_matches"] = None
-            else:
-                closed = sequences.closed_form_sum(seq, args.n)
-                results["closed_form_sum"] = str(closed)
-                results["closed_form_matches"] = closed == direct
-    except CircnormError as exc:
-        return _fail("seq", params, exc)
-    _emit(OutputRecord("seq", params, results=results))
-    return 0
-
-
-def cmd_norm(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    label, seq = _sequence_from_args(parser, args)
-    methods = _parse_methods(parser, args.methods)
-    params = {
-        "id": label,
-        "n": args.n,
-        "methods": list(methods),
-        "rel_tol": args.rel_tol,
-    }
-    if label == "custom":
-        params["spec"] = args.spec
-    try:
-        matrix = circulant.from_sequence(seq, args.n)
-        report = spectral.compare_methods(matrix, rel_tol=args.rel_tol, methods=methods)
-    except CircnormError as exc:
-        return _fail("norm", params, exc)
-    _emit(OutputRecord("norm", params, results=_report_payload(report)))
-    return 0 if report.agrees else 1
-
-
-def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[dict], bool]:
-    """Run the per-n audit and norm cross-check for one builtin.
-
-    The sequence is generated once; each n's circulant is a slice of it.
-    """
+def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[dict]]:
+    """Run the per-n audit and norm cross-check for one builtin."""
     audit = sequences.audit_closed_form_identity(name, n_max)
-    terms = sequences.prefix(name, n_max)
+    matrices = _circulants(name, [row.n for row in audit.rows])
     rows = []
-    closed_ok = published_ok = norm_ok = 0
-    all_ok = True
-    for audit_row in audit.rows:
-        n = audit_row.n
-        shipped = sequences.closed_form_sum(name, n)
-        shipped_matches = shipped == audit_row.direct_sum
-        matrix = circulant.CirculantMatrix(tuple(terms[:n]))
+    for audit_row, matrix in zip(audit.rows, matrices):
+        shipped = sequences.closed_form_sum(name, audit_row.n)
         report = spectral.compare_methods(matrix, rel_tol=rel_tol)
-        closed_ok += shipped_matches
-        published_ok += audit_row.matches
-        norm_ok += report.agrees
-        all_ok = all_ok and shipped_matches and report.agrees
         rows.append(
             {
                 "sequence": name,
-                "n": n,
+                "n": audit_row.n,
                 "direct_sum": str(audit_row.direct_sum),
                 "closed_form": str(shipped),
-                "closed_form_matches": shipped_matches,
+                "closed_form_matches": shipped == audit_row.direct_sum,
                 "published_value": str(audit_row.published_value),
                 "published_matches": audit_row.matches,
                 "methods": [r.method for r in report.methods if r.value is not None],
@@ -332,58 +284,39 @@ def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[
     summary = {
         "sequence": name,
         "checks": n_max,
-        "closed_form_matches": closed_ok,
-        "published_matches": published_ok,
-        "norm_agreements": norm_ok,
+        "closed_form_matches": sum(row["closed_form_matches"] for row in rows),
+        "published_matches": sum(row["published_matches"] for row in rows),
+        "norm_agreements": sum(row["norm_agrees"] for row in rows),
         "findings": findings,
     }
-    return summary, rows, all_ok
+    return summary, rows
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    names = list(_BUILTIN_IDS) if args.id == "all" else [args.id]
-    params = {
-        "id": args.id,
-        "n_max": args.n_max,
-        "rel_tol": args.rel_tol,
-        "format": args.format,
-    }
+_VERIFY_COLUMNS = [
+    "sequence",
+    "n",
+    "direct_sum",
+    "closed_form",
+    "closed_form_matches",
+    "published_value",
+    "published_matches",
+    "max_gap",
+    "norm_agrees",
+]
+
+
+def cmd_verify(seq: str, args: argparse.Namespace) -> _Outcome:
     summaries = []
     rows: list[dict] = []
-    ok = True
-    for name in names:
-        summary, seq_rows, seq_ok = _verify_sequence(name, args.n_max, args.rel_tol)
+    for name in _BUILTIN_IDS if seq == "all" else (seq,):
+        summary, seq_rows = _verify_sequence(name, args.n_max, args.rel_tol)
         summaries.append(summary)
         rows.extend(seq_rows)
-        ok = ok and seq_ok
-
-    if args.format == "csv":
-        columns = [
-            "sequence",
-            "n",
-            "direct_sum",
-            "closed_form",
-            "closed_form_matches",
-            "published_value",
-            "published_matches",
-            "max_gap",
-            "norm_agrees",
-        ]
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-        for summary in summaries:
+        if args.format == "csv":
             for finding in summary["findings"]:
-                print(f"finding ({summary['sequence']}): {finding}", file=sys.stderr)
-    else:
-        _emit(
-            OutputRecord(
-                "verify",
-                params,
-                results={"ok": ok, "sequences": summaries, "rows": rows},
-            )
-        )
-    return 0 if ok else 1
+                print(f"finding ({name}): {finding}", file=sys.stderr)
+    ok = all(row["closed_form_matches"] and row["norm_agrees"] for row in rows)
+    return {"ok": ok, "sequences": summaries, "rows": rows}, _VERIFY_COLUMNS, ok
 
 
 def _timed(func, reps: int) -> tuple[float, object]:
@@ -396,73 +329,70 @@ def _timed(func, reps: int) -> tuple[float, object]:
     return statistics.median(times), value
 
 
-def cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    label, seq = _sequence_from_args(parser, args)
-    params = {
-        "id": label,
-        "n": list(args.n),
-        "reps": args.reps,
-        "rel_tol": args.rel_tol,
-        "format": args.format,
-    }
-    if label == "custom":
-        params["spec"] = args.spec
+_BENCH_COLUMNS = [
+    "n",
+    "method",
+    "reps",
+    "median_seconds",
+    "value",
+    "exact_value",
+    "note",
+    "agrees",
+]
+
+
+def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
     rows = []
     all_agree = True
-    try:
-        for n in args.n:
-            matrix = circulant.from_sequence(seq, n)
-            timed = [
-                _timed(
-                    lambda: spectral.run_method(matrix, method, rel_tol=args.rel_tol),
-                    args.reps,
-                )
-                for method in spectral.METHOD_NAMES
-            ]
-            report = spectral.norm_report(n, [r for _, r in timed], args.rel_tol)
-            all_agree = all_agree and report.agrees
-            for seconds, r in timed:
-                entry = _method_entry(r)
-                rows.append(
-                    {
-                        "n": n,
-                        "method": r.method,  # also in entry; placed for key order
-                        "reps": args.reps,
-                        # A skipped method ran nothing worth timing.
-                        "median_seconds": None if r.value is None else seconds,
-                        **entry,
-                        "agrees": None if entry["value"] is None else report.agrees,
-                    }
-                )
-    except CircnormError as exc:
-        return _fail("bench", params, exc)
-
-    if args.format == "csv":
-        columns = [
-            "n",
-            "method",
-            "reps",
-            "median_seconds",
-            "value",
-            "exact_value",
-            "note",
-            "agrees",
+    for n, matrix in zip(args.n, _circulants(seq, args.n)):
+        timed = [
+            _timed(
+                lambda: spectral.run_method(matrix, method, rel_tol=args.rel_tol),
+                args.reps,
+            )
+            for method in spectral.METHOD_NAMES
         ]
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
-    else:
-        _emit(OutputRecord("bench", params, results={"rows": rows}))
-    return 0 if all_agree else 1
+        report = spectral.norm_report(n, [r for _, r in timed], args.rel_tol)
+        all_agree = all_agree and report.agrees
+        for seconds, r in timed:
+            entry = _method_entry(r)
+            rows.append(
+                {
+                    "n": n,
+                    "method": r.method,  # also in entry; placed for key order
+                    "reps": args.reps,
+                    # A skipped method ran nothing worth timing.
+                    "median_seconds": None if r.value is None else seconds,
+                    **entry,
+                    "agrees": None if entry["value"] is None else report.agrees,
+                }
+            )
+    return {"rows": rows}, _BENCH_COLUMNS, all_agree
+
+
+_COMMANDS = {"seq": cmd_seq, "norm": cmd_norm, "verify": cmd_verify, "bench": cmd_bench}
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its envelope; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "seq": cmd_seq,
-        "norm": cmd_norm,
-        "verify": cmd_verify,
-        "bench": cmd_bench,
-    }
-    return handlers[args.command](parser, args)
+    seq = _sequence_from_args(parser, args)
+    if args.command == "norm":
+        args.methods = _parse_methods(parser, args.methods)
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "spec")}
+    if args.id == "custom":
+        parameters["spec"] = args.spec
+    try:
+        results, columns, ok = _COMMANDS[args.command](seq, args)
+    except CircnormError as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(OutputRecord(args.command, parameters, error=error).to_json())
+        return 1
+    if getattr(args, "format", "json") == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(results["rows"])
+    else:
+        print(OutputRecord(args.command, parameters, results=results).to_json())
+    return 0 if ok else 1

@@ -18,12 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circulant import (
-    EXACT_DOUBLE_BOUND,
-    CirculantMatrix,
-    eigenvalues_dft,
-    to_dense,
-)
+from .circulant import CirculantMatrix, eigenvalues_dft, to_dense
 from .errors import PrecisionLoss
 
 __all__ = [
@@ -62,7 +57,7 @@ def spectral_norm_dft(matrix: CirculantMatrix) -> float:
     Norm equals spectral radius because a circulant is normal (it
     commutes with its transpose). For nonnegative rows the maximum is
     attained at k = 0, where the eigenvalue is real and equals the entry
-    sum.
+    sum. Raises PrecisionLoss when an entry reaches 2**53.
     """
     return float(np.abs(eigenvalues_dft(matrix).values).max())
 
@@ -114,7 +109,8 @@ def spectral_norm_power(
     for c in matrix.first_row:
         if c >= GRAM_SAFE_BOUND:
             raise PrecisionLoss(
-                f"entry {c} reaches 2**26; the dense Gram path would lose exactness"
+                f"entry of {c.bit_length()} bits reaches 2**26; "
+                "the dense Gram path would lose exactness"
             )
     if spectral_norm_sum(matrix) == 0:
         return 0.0, ConvergenceRecord(iterations=0, residual=0.0, converged=True)
@@ -169,9 +165,9 @@ def run_method(
 ) -> MethodResult:
     """Run one norm method on one matrix behind its entry guard.
 
-    A method whose guard is violated (dft needs entries below 2**53,
-    power below 2**26) is skipped: its value is None and its note names
-    the bound. The sum's float value is inf past the float64 range. A
+    A method whose route raises PrecisionLoss (dft needs entries below
+    2**53, power below 2**26) is skipped: its value is None and its note
+    names the bound. The sum's float value is inf past the float64 range. A
     power run that exhausts max_iter keeps its estimate and says so in
     the note. Raises ValueError for a method not in METHOD_NAMES.
     """
@@ -182,19 +178,19 @@ def run_method(
         except OverflowError:
             value = math.inf
         return MethodResult("sum", value, exact_value=exact)
-    if method == "dft":
-        if max(matrix.first_row) >= EXACT_DOUBLE_BOUND:
-            return MethodResult("dft", None, note="skipped: entries reach 2**53")
-        return MethodResult("dft", spectral_norm_dft(matrix))
-    if method == "power":
-        if max(matrix.first_row) >= GRAM_SAFE_BOUND:
-            return MethodResult("power", None, note="skipped: entries reach 2**26")
+    if method not in METHOD_NAMES:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    try:
+        if method == "dft":
+            return MethodResult("dft", spectral_norm_dft(matrix))
         value, record = spectral_norm_power(matrix, rel_tol=rel_tol, max_iter=max_iter)
-        note = None
-        if not record.converged:
-            note = f"no convergence after {record.iterations} iterations"
-        return MethodResult("power", value, note=note)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    except PrecisionLoss:
+        bound = "2**53" if method == "dft" else "2**26"
+        return MethodResult(method, None, note=f"skipped: entries reach {bound}")
+    note = None
+    if not record.converged:
+        note = f"no convergence after {record.iterations} iterations"
+    return MethodResult("power", value, note=note)
 
 
 def norm_report(

@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+import circnorm.circulant
 import circnorm.sequences
 import circnorm.spectral
 from circnorm.cli import OutputRecord, load_output_schema, main, parse_spec
@@ -303,12 +304,83 @@ class TestUsageErrors:
             ("norm", "--id", "fibonacci", "--n", "4", "--rel-tol", "0"),
             ("verify", "--id", "custom", "--n-max", "5"),
             ("bench", "--id", "fibonacci", "--n", "4,0", "--reps", "1"),
+            ("norm", "--id", "fibonacci", "--n", "4", "--rel-tol", "inf"),
+            ("bench", "--id", "fibonacci", "--n", "4", "--rel-tol", "inf"),
+            ("verify", "--id", "pell", "--n-max", "3", "--rel-tol", "1e400"),
         ],
     )
     def test_exit_code_two(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
         assert excinfo.value.code == 2
+
+
+# (command and its arguments after --id, expected parameter keys in order)
+SEQUENCE_COMMAND_KEYS = [
+    (("seq", "--n", "3"), ["id", "n", "sum"]),
+    (("norm", "--n", "3"), ["id", "n", "methods", "rel_tol"]),
+    (("bench", "--n", "3", "--reps", "1"), ["id", "n", "reps", "rel_tol", "format"]),
+]
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "argv, keys",
+        SEQUENCE_COMMAND_KEYS
+        + [(("verify", "--n-max", "2"), ["id", "n_max", "rel_tol", "format"])],
+    )
+    def test_parameter_keys(self, capsys, argv, keys):
+        _, out, _ = run_cli(capsys, argv[0], "--id", "lucas", *argv[1:])
+        parameters = parse_record(out)["parameters"]
+        assert list(parameters) == keys
+        assert parameters["id"] == "lucas"
+
+    @pytest.mark.parametrize("argv, keys", SEQUENCE_COMMAND_KEYS)
+    def test_custom_spec_comes_last(self, capsys, argv, keys):
+        spec = "k=1;coef=1;init=1"
+        _, out, _ = run_cli(capsys, argv[0], "--id", "custom", "--spec", spec, *argv[1:])
+        parameters = parse_record(out)["parameters"]
+        assert list(parameters) == keys + ["spec"]
+        assert parameters["id"] == "custom"
+        assert parameters["spec"] == spec
+
+    def test_norm_parameters_carry_parsed_methods(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "norm", "--id", "pell", "--n", "3", "--methods", "power, sum,power"
+        )
+        assert parse_record(out)["parameters"]["methods"] == ["power", "sum"]
+
+    def test_error_is_json_under_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "bench", "--id", "custom", "--spec", "k=1;coef=-1;init=1",
+            "--n", "1,64", "--reps", "1", "--format", "csv",
+        )
+        doc = parse_record(out)
+        assert code == 1
+        assert doc["error"]["type"] == "NegativeEntry"
+        assert doc["parameters"]["format"] == "csv"
+        assert "results" not in doc
+
+    def test_bench_builds_every_order_from_one_prefix(self, capsys, monkeypatch):
+        calls = []
+        honest = circnorm.sequences.prefix
+
+        def counting(seq, n):
+            calls.append(n)
+            return honest(seq, n)
+
+        # circulant holds its own reference to prefix; count through both names.
+        monkeypatch.setattr(circnorm.sequences, "prefix", counting)
+        monkeypatch.setattr(circnorm.circulant, "prefix", counting)
+        code, out, _ = run_cli(
+            capsys, "bench", "--id", "perrin", "--n", "64,256,1024", "--reps", "1"
+        )
+        assert code == 0
+        assert [row["n"] for row in parse_record(out)["results"]["rows"]] == (
+            [64] * 3 + [256] * 3 + [1024] * 3
+        )
+        assert calls == [1024]
 
 
 class TestOutputRecord:

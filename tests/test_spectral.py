@@ -269,6 +269,12 @@ class TestRunMethod:
             assert skipped.value is None
             assert skipped.note.startswith("skipped: ")
 
+    def test_skips_entries_without_decimal_form(self):
+        # Past 4300 digits an int has no str(); the skip must not need one.
+        matrix = CirculantMatrix((10**5000,))
+        for method in ("dft", "power"):
+            assert run_method(matrix, method).note.startswith("skipped: ")
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_method(CirculantMatrix((1,)), "qr")
