@@ -11,7 +11,6 @@ Pell and Perrin sequences.
 from .circulant import (
     EXACT_DOUBLE_BOUND,
     CirculantMatrix,
-    Spectrum,
     all_ones_eigencheck,
     eigenvalues_dft,
     from_sequence,
@@ -32,11 +31,7 @@ from .sequences import (
     LUCAS,
     PELL,
     PERRIN,
-    PUBLISHED_SUM_FORMS,
-    AuditRow,
-    IdentityAudit,
     RecurrenceSpec,
-    SequenceId,
     audit_closed_form_identity,
     closed_form_sum,
     prefix,
@@ -46,10 +41,6 @@ from .sequences import (
 )
 from .spectral import (
     GRAM_SAFE_BOUND,
-    METHOD_NAMES,
-    ConvergenceRecord,
-    MethodResult,
-    NormReport,
     compare_methods,
     spectral_norm_dft,
     spectral_norm_power,
@@ -63,25 +54,16 @@ __all__ = [
     "BUILTIN_SEQUENCES",
     "CirculantMatrix",
     "CircnormError",
-    "ConvergenceRecord",
     "DimensionMismatch",
     "EXACT_DOUBLE_BOUND",
     "FIBONACCI",
     "GRAM_SAFE_BOUND",
-    "IdentityAudit",
-    "AuditRow",
     "LUCAS",
-    "METHOD_NAMES",
-    "MethodResult",
     "NegativeEntry",
-    "NormReport",
     "PELL",
     "PERRIN",
-    "PUBLISHED_SUM_FORMS",
     "PrecisionLoss",
     "RecurrenceSpec",
-    "SequenceId",
-    "Spectrum",
     "UnsupportedSequence",
     "all_ones_eigencheck",
     "audit_closed_form_identity",

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeEntry, PrecisionLoss
-from .sequences import SequenceId, prefix
+from .sequences import SequenceId, _decimal, prefix
 
 __all__ = [
     "EXACT_DOUBLE_BOUND",
@@ -57,7 +57,7 @@ class CirculantMatrix:
             raise ValueError("circulant matrix needs at least one entry")
         if min(row) < 0:
             first = next(c for c in row if c < 0)
-            raise NegativeEntry(f"first row contains negative entry {first}")
+            raise NegativeEntry(f"first row contains negative entry {_decimal(first)}")
 
     @property
     def order(self) -> int:

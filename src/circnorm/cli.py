@@ -3,11 +3,13 @@
 main owns the output envelope of all four commands. Each run writes
 exactly one document or table to stdout: the JSON OutputRecord, whose
 parameters echo the parsed arguments, or, for verify and bench with
---format csv, one CSV table of the result rows. A CircnormError raised by
-a command yields the JSON error document and exit 1 under either
---format. Diagnostics go to stderr. Exact integers are serialized as
-decimal strings so arbitrarily large values survive JSON consumers that
-parse numbers as float64.
+--format csv, one CSV table of the result rows. The table has one column
+per field of the first row whose value is not a list, in row order, so
+verify's methods list is JSON-only. A CircnormError raised by a command
+yields the JSON error document and exit 1 under either --format.
+Diagnostics go to stderr. Exact integers are serialized as decimal
+strings, at any size, so they survive JSON consumers that parse numbers
+as float64.
 
 Exit codes: 0 success / all checks agree, 1 verification or computation
 failure, 2 usage error.
@@ -27,6 +29,7 @@ from importlib import resources
 
 from . import circulant, sequences, spectral
 from .errors import CircnormError
+from .sequences import _decimal
 
 __all__ = ["OutputRecord", "load_output_schema", "parse_spec", "build_parser", "main"]
 
@@ -212,7 +215,7 @@ def _method_entry(r: spectral.MethodResult) -> dict:
     return {
         "method": r.method,
         "value": r.value if r.value is not None and math.isfinite(r.value) else None,
-        "exact_value": None if r.exact_value is None else str(r.exact_value),
+        "exact_value": None if r.exact_value is None else _decimal(r.exact_value),
         "note": r.note,
     }
 
@@ -223,20 +226,20 @@ def _circulants(seq: sequences.SequenceId, orders: list[int]):
     return (circulant.CirculantMatrix(tuple(terms[:n])) for n in orders)
 
 
-#: What each command hands main to wrap: (results, CSV columns or None, ok).
-_Outcome = tuple[dict, list[str] | None, bool]
+#: What each command hands main to wrap: (results, ok).
+_Outcome = tuple[dict, bool]
 
 
 def cmd_seq(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
     terms = sequences.prefix(seq, args.n)
-    results: dict = {"terms": [str(t) for t in terms]}
+    results: dict = {"terms": [_decimal(t) for t in terms]}
     if args.sum:
         direct = sum(terms)
         closed = None if args.id == "custom" else sequences.closed_form_sum(seq, args.n)
-        results["prefix_sum"] = str(direct)
-        results["closed_form_sum"] = None if closed is None else str(closed)
+        results["prefix_sum"] = _decimal(direct)
+        results["closed_form_sum"] = None if closed is None else _decimal(closed)
         results["closed_form_matches"] = None if closed is None else closed == direct
-    return results, None, True
+    return results, True
 
 
 def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
@@ -249,7 +252,7 @@ def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
         "rel_tol": report.rel_tol,
         "agrees": report.agrees,
     }
-    return results, None, report.agrees
+    return results, report.agrees
 
 
 def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[dict]]:
@@ -264,10 +267,10 @@ def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[
             {
                 "sequence": name,
                 "n": audit_row.n,
-                "direct_sum": str(audit_row.direct_sum),
-                "closed_form": str(shipped),
+                "direct_sum": _decimal(audit_row.direct_sum),
+                "closed_form": _decimal(shipped),
                 "closed_form_matches": shipped == audit_row.direct_sum,
-                "published_value": str(audit_row.published_value),
+                "published_value": _decimal(audit_row.published_value),
                 "published_matches": audit_row.matches,
                 "methods": [r.method for r in report.methods if r.value is not None],
                 "max_gap": report.max_pairwise_relative_gap,
@@ -292,19 +295,6 @@ def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[
     return summary, rows
 
 
-_VERIFY_COLUMNS = [
-    "sequence",
-    "n",
-    "direct_sum",
-    "closed_form",
-    "closed_form_matches",
-    "published_value",
-    "published_matches",
-    "max_gap",
-    "norm_agrees",
-]
-
-
 def cmd_verify(seq: str, args: argparse.Namespace) -> _Outcome:
     summaries = []
     rows: list[dict] = []
@@ -316,7 +306,7 @@ def cmd_verify(seq: str, args: argparse.Namespace) -> _Outcome:
             for finding in summary["findings"]:
                 print(f"finding ({name}): {finding}", file=sys.stderr)
     ok = all(row["closed_form_matches"] and row["norm_agrees"] for row in rows)
-    return {"ok": ok, "sequences": summaries, "rows": rows}, _VERIFY_COLUMNS, ok
+    return {"ok": ok, "sequences": summaries, "rows": rows}, ok
 
 
 def _timed(func, reps: int) -> tuple[float, object]:
@@ -327,18 +317,6 @@ def _timed(func, reps: int) -> tuple[float, object]:
         value = func()
         times.append(time.perf_counter() - start)
     return statistics.median(times), value
-
-
-_BENCH_COLUMNS = [
-    "n",
-    "method",
-    "reps",
-    "median_seconds",
-    "value",
-    "exact_value",
-    "note",
-    "agrees",
-]
 
 
 def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
@@ -367,7 +345,7 @@ def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
                     "agrees": None if entry["value"] is None else report.agrees,
                 }
             )
-    return {"rows": rows}, _BENCH_COLUMNS, all_agree
+    return {"rows": rows}, all_agree
 
 
 _COMMANDS = {"seq": cmd_seq, "norm": cmd_norm, "verify": cmd_verify, "bench": cmd_bench}
@@ -384,15 +362,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.id == "custom":
         parameters["spec"] = args.spec
     try:
-        results, columns, ok = _COMMANDS[args.command](seq, args)
+        results, ok = _COMMANDS[args.command](seq, args)
     except CircnormError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(OutputRecord(args.command, parameters, error=error).to_json())
         return 1
     if getattr(args, "format", "json") == "csv":
+        rows = results["rows"]
+        columns = [key for key, value in rows[0].items() if not isinstance(value, list)]
         writer = csv.DictWriter(sys.stdout, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        writer.writerows(results["rows"])
+        writer.writerows(rows)
     else:
         print(OutputRecord(args.command, parameters, results=results).to_json())
     return 0 if ok else 1

@@ -30,7 +30,6 @@ __all__ = [
     "PELL",
     "PERRIN",
     "BUILTIN_SEQUENCES",
-    "PUBLISHED_SUM_FORMS",
     "resolve",
     "term",
     "prefix",
@@ -93,13 +92,6 @@ _SUM_IDENTITIES = {
     "lucas": ("F(n+2) + F(n) - 1", 1, 1, lambda t, f, n: f(n + 2) + f(n)),
     "pell": ("(P(n) + P(n-1) - 1) / 2", 1, 2, lambda t, f, n: t(n) + t(n - 1)),
     "perrin": ("R(n+4) - 1", 2, 1, lambda t, f, n: t(n + 4)),
-}
-
-#: Partial-sum identities as usually published, sum_{i<n} t(i) = form(n).
-#: The Perrin form is reproduced verbatim even though it is off by a
-#: constant; see audit_closed_form_identity.
-PUBLISHED_SUM_FORMS: dict[str, str] = {
-    name: row[0] for name, row in _SUM_IDENTITIES.items()
 }
 
 #: A sequence is either a builtin name ("fibonacci", "lucas", "pell",
@@ -197,6 +189,15 @@ def prefix_sum(seq: SequenceId, n: int) -> int:
     return sum(prefix(seq, n))
 
 
+def _decimal(x: int) -> str:
+    """Exact decimal digits of x, also past str()'s limit (4300 digits by default)."""
+    try:
+        return str(x)
+    except ValueError:  # Decimal is exact at any size and leaves the limit as it is
+        from decimal import Decimal  # here, so that import circnorm does not load it
+        return str(Decimal(x))
+
+
 def _builtin_name(seq: SequenceId) -> str:
     """Lower-case builtin name; UnsupportedSequence for anything else."""
     if isinstance(seq, RecurrenceSpec):
@@ -208,10 +209,11 @@ def _builtin_name(seq: SequenceId) -> str:
 def closed_form_sum(seq: SequenceId, n: int) -> int:
     """Partial-sum value by closed form; equals prefix_sum on every builtin.
 
-    The forms are those of PUBLISHED_SUM_FORMS (lucas: equivalently
-    L(n+1) - 1), except that Perrin ships R(n+4) - 2: the identity as
-    usually published, R(n+4) - 1, overshoots direct summation by exactly
-    one at every n (run audit_closed_form_identity to see this per n).
+    The forms are the identities as usually published: F(n+1) - 1,
+    F(n+2) + F(n) - 1 (equivalently L(n+1) - 1) and (P(n) + P(n-1) - 1) / 2.
+    Perrin ships R(n+4) - 2: the identity as usually published,
+    R(n+4) - 1, overshoots direct summation by exactly one at every n
+    (run audit_closed_form_identity to see this per n).
 
     Raises UnsupportedSequence for custom recurrence specs.
     """
@@ -250,12 +252,8 @@ class IdentityAudit:
         return sum(1 for row in self.rows if row.matches)
 
     @property
-    def mismatch_count(self) -> int:
-        return len(self.rows) - self.match_count
-
-    @property
     def all_match(self) -> bool:
-        return self.mismatch_count == 0
+        return self.match_count == len(self.rows)
 
 
 def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:

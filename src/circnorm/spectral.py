@@ -158,18 +158,16 @@ class NormReport:
 
 
 def run_method(
-    matrix: CirculantMatrix,
-    method: str,
-    rel_tol: float = 1e-8,
-    max_iter: int | None = None,
+    matrix: CirculantMatrix, method: str, rel_tol: float = 1e-8
 ) -> MethodResult:
     """Run one norm method on one matrix behind its entry guard.
 
     A method whose route raises PrecisionLoss (dft needs entries below
     2**53, power below 2**26) is skipped: its value is None and its note
-    names the bound. The sum's float value is inf past the float64 range. A
-    power run that exhausts max_iter keeps its estimate and says so in
-    the note. Raises ValueError for a method not in METHOD_NAMES.
+    names the bound. The sum's float value is inf past the float64 range.
+    Power runs under spectral_norm_power's default iteration cap; a run
+    that exhausts it keeps its estimate and says so in the note. Raises
+    ValueError for a method not in METHOD_NAMES.
     """
     if method == "sum":
         exact = spectral_norm_sum(matrix)
@@ -183,7 +181,7 @@ def run_method(
     try:
         if method == "dft":
             return MethodResult("dft", spectral_norm_dft(matrix))
-        value, record = spectral_norm_power(matrix, rel_tol=rel_tol, max_iter=max_iter)
+        value, record = spectral_norm_power(matrix, rel_tol=rel_tol)
     except PrecisionLoss:
         bound = "2**53" if method == "dft" else "2**26"
         return MethodResult(method, None, note=f"skipped: entries reach {bound}")
@@ -220,19 +218,19 @@ def compare_methods(
     matrix: CirculantMatrix,
     rel_tol: float = 1e-8,
     methods: Sequence[str] = METHOD_NAMES,
-    max_iter: int | None = None,
 ) -> NormReport:
     """Run the requested norm methods and report their mutual agreement.
 
     Each method goes through run_method, so one whose entry guard is
     violated is skipped and marked in its note instead of raising, as
-    is a power run that fails to converge. norm_report then computes the
-    pairwise gap and the agrees flag. Duplicate method names run once;
-    unknown ones raise ValueError before anything runs.
+    is a power run that fails to converge within spectral_norm_power's
+    default iteration cap. norm_report then computes the pairwise gap and
+    the agrees flag. Duplicate method names run once; unknown ones raise
+    ValueError before anything runs.
     """
     wanted = list(dict.fromkeys(methods))
     unknown = [m for m in wanted if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {METHOD_NAMES}")
-    results = [run_method(matrix, m, rel_tol=rel_tol, max_iter=max_iter) for m in wanted]
+    results = [run_method(matrix, m, rel_tol=rel_tol) for m in wanted]
     return norm_report(matrix.order, results, rel_tol)

@@ -73,6 +73,21 @@ class TestSeqCommand:
         assert last > 2**200  # would be impossible through a float64 round trip
         assert doc["results"]["closed_form_matches"] is True
 
+    def test_terms_past_4300_digits(self, capsys):
+        # str() of an int past 4300 digits raises by default; compare strings.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        big = "1" + "0" * 2200
+        code, out, _ = run_cli(
+            capsys,
+            "seq", "--id", "custom", "--spec", f"k=1;coef={big};init=1", "--n", "3",
+            "--sum",
+        )
+        doc = parse_record(out)
+        assert code == 0
+        assert doc["results"]["terms"] == ["1", big, "1" + "0" * 4400]
+        assert doc["results"]["prefix_sum"] == "1" + ("0" * 2199 + "1") * 2
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestNormCommand:
     def test_fibonacci_all_methods(self, capsys):
@@ -118,6 +133,33 @@ class TestNormCommand:
         assert by_name["power"]["value"] is None
         assert "2**26" in by_name["power"]["note"]
         assert doc["results"]["agrees"] is True
+
+    def test_sum_past_4300_digits(self, capsys):
+        big = "1" + "0" * 2200
+        code, out, _ = run_cli(
+            capsys,
+            "norm", "--id", "custom", "--spec", f"k=1;coef={big};init=1", "--n", "3",
+            "--methods", "sum",
+        )
+        doc = parse_record(out)
+        assert code == 0
+        (method,) = doc["results"]["methods"]
+        assert method["exact_value"] == "1" + ("0" * 2199 + "1") * 2
+        assert method["value"] is None  # past the float64 range
+
+    def test_negative_entry_past_4300_digits(self, capsys):
+        big = "1" + "0" * 4299
+        code, out, _ = run_cli(
+            capsys,
+            "norm", "--id", "custom", "--spec", f"k=2;coef=0,-{big};init={big},1",
+            "--n", "3",
+        )
+        doc = parse_record(out)
+        assert code == 1
+        assert doc["error"] == {
+            "type": "NegativeEntry",
+            "message": "first row contains negative entry -1" + "0" * 8598,
+        }
 
     def test_negative_custom_reports_structured_error(self, capsys):
         code, out, _ = run_cli(
