@@ -91,14 +91,29 @@ def from_sequence(seq: SequenceId, n: int) -> CirculantMatrix:
 
 
 def to_dense(matrix: CirculantMatrix) -> np.ndarray:
-    """Dense n x n matrix with exact integer entries (dtype=object).
+    """Dense n x n matrix with exact integer entries, dense[i, j] = c[(j - i) % n].
 
-    Row i is the first row right-shifted i places. Object dtype keeps
-    Python ints, so downstream products (Gram matrices, normality
-    checks) stay exact at any magnitude.
+    The dtype is the cheapest in which dense.T @ dense (and dense @ dense.T)
+    is exact. Each entry of that product sums n products of two entries,
+    so every partial sum, in any order, is a nonnegative integer at most
+    n * max**2:
+
+      * float64 when n * max**2 < 2**53: every partial sum is an integer
+        that float64 holds exactly, so the BLAS product is exact;
+      * int64 when n * max**2 < 2**63: no partial sum overflows;
+      * object (Python ints) otherwise, exact at any magnitude.
     """
-    row = np.array(matrix.first_row, dtype=object)
-    return np.stack([np.roll(row, i) for i in range(matrix.order)])
+    row = matrix.first_row
+    n = len(row)
+    peak = n * max(row) ** 2
+    if peak < EXACT_DOUBLE_BOUND:
+        dtype = np.float64
+    elif peak < 2**63:
+        dtype = np.int64
+    else:
+        dtype = object
+    shift = np.arange(n)
+    return np.array(row, dtype=dtype)[(shift - shift[:, None]) % n]
 
 
 def matvec_naive(matrix: CirculantMatrix, vector: Sequence[int]) -> list[int]:

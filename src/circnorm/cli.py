@@ -29,7 +29,7 @@ from importlib import resources
 
 from . import circulant, sequences, spectral
 from .errors import CircnormError
-from .sequences import _decimal
+from .sequences import _decimal, _from_decimal
 
 __all__ = ["OutputRecord", "load_output_schema", "parse_spec", "build_parser", "main"]
 
@@ -88,9 +88,9 @@ def parse_spec(text: str) -> sequences.RecurrenceSpec:
     if set(fields) != {"k", "coef", "init"}:
         raise ValueError("custom spec needs exactly the fields k, coef and init")
     try:
-        order = int(fields["k"])
-        coef = tuple(int(x) for x in fields["coef"].split(","))
-        init = tuple(int(x) for x in fields["init"].split(","))
+        order = _from_decimal(fields["k"])
+        coef = tuple(_from_decimal(x) for x in fields["coef"].split(","))
+        init = tuple(_from_decimal(x) for x in fields["init"].split(","))
     except ValueError as exc:
         raise ValueError(f"custom spec has a non-integer field: {exc}") from None
     if order != len(coef) or order != len(init):

@@ -19,3 +19,7 @@ class DimensionMismatch(CircnormError):
 
 class PrecisionLoss(CircnormError):
     """Integer data too large to survive conversion to float64."""
+
+
+class DenseBudgetExceeded(CircnormError):
+    """A dense n x n route was asked for an order past its fixed budget."""

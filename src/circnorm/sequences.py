@@ -198,6 +198,18 @@ def _decimal(x: int) -> str:
         return str(Decimal(x))
 
 
+def _from_decimal(text: str) -> int:
+    """int(text), also past int()'s limit on decimal digits (4300 by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        import re  # local, as Decimal is: only this fallback needs them
+        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
+            raise
+        from decimal import Decimal  # exact at any size; leaves the limit as it is
+        return int(Decimal(text))
+
+
 def _builtin_name(seq: SequenceId) -> str:
     """Lower-case builtin name; UnsupportedSequence for anything else."""
     if isinstance(seq, RecurrenceSpec):

@@ -19,10 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .circulant import CirculantMatrix, eigenvalues_dft, to_dense
-from .errors import PrecisionLoss
+from .errors import DenseBudgetExceeded, PrecisionLoss
 
 __all__ = [
     "GRAM_SAFE_BOUND",
+    "DENSE_ORDER_LIMIT",
     "METHOD_NAMES",
     "ConvergenceRecord",
     "MethodResult",
@@ -37,11 +38,20 @@ __all__ = [
 ]
 
 #: Entry guard for the power path. Below 2**26 every product of two
-#: entries is below 2**52, and the Gram matrix is formed from them in
-#: exact integers. A Gram entry sums n such products, so it can pass
-#: 2**53; it then rounds once, to within relative 2**-53, on conversion
-#: to float64.
+#: entries is below 2**52, and the Gram matrix is formed from them
+#: exactly (float64 or int64, see circulant.to_dense). A Gram entry sums
+#: n such products, so it can pass 2**53; it then rounds once, to within
+#: relative 2**-53, on conversion to float64.
 GRAM_SAFE_BOUND = 2**26
+
+#: Order budget for the power path, whose dense matrix and Gram take
+#: O(n**2) memory and O(n**3) time. With entries below GRAM_SAFE_BOUND
+#: and n <= 2**9, n * max**2 < 2**61, so to_dense picks float64 or int64
+#: and the Gram cannot overflow. numpy's int64 matmul is an unblocked
+#: loop, so the int64 Gram is the costlier one: on a 2-core x86-64 host
+#: it took 0.50 s at n = 512 and 7.1 s at n = 1024 (float64: 0.02 s and
+#: 0.04 s).
+DENSE_ORDER_LIMIT = 512
 
 METHOD_NAMES = ("sum", "dft", "power")
 
@@ -82,9 +92,9 @@ def spectral_norm_power(
 ) -> tuple[float, ConvergenceRecord]:
     """Spectral norm as sqrt of the dominant eigenvalue of G = A^T A.
 
-    G is formed in exact integer arithmetic and converted to float64,
-    where an entry past 2**53 rounds once, to within relative 2**-53
-    (see GRAM_SAFE_BOUND). It is iterated from the deterministic
+    G is formed exactly, in float64 or int64 (see to_dense), and converted
+    to float64, where an entry past 2**53 rounds once, to within relative
+    2**-53 (see GRAM_SAFE_BOUND). It is iterated from the deterministic
     all-ones seed, which is never orthogonal to the Perron direction of
     a nonnegative symmetric matrix. Convergence requires both conditions
     at once:
@@ -97,7 +107,9 @@ def spectral_norm_power(
     first, the best estimate is returned with converged=False rather
     than raising.
 
-    Raises PrecisionLoss when an entry reaches 2**26.
+    Raises PrecisionLoss when an entry reaches 2**26, then
+    DenseBudgetExceeded when the order passes DENSE_ORDER_LIMIT. Within
+    both, n * max**2 < 2**61.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -112,6 +124,10 @@ def spectral_norm_power(
                 f"entry of {c.bit_length()} bits reaches 2**26; "
                 "the dense Gram path would lose exactness"
             )
+    if n > DENSE_ORDER_LIMIT:
+        raise DenseBudgetExceeded(
+            f"order {n} exceeds the dense power limit of {DENSE_ORDER_LIMIT}"
+        )
     if spectral_norm_sum(matrix) == 0:
         return 0.0, ConvergenceRecord(iterations=0, residual=0.0, converged=True)
 
@@ -164,7 +180,8 @@ def run_method(
 
     A method whose route raises PrecisionLoss (dft needs entries below
     2**53, power below 2**26) is skipped: its value is None and its note
-    names the bound. The sum's float value is inf past the float64 range.
+    names the bound. So is power past DENSE_ORDER_LIMIT, whose note names
+    that limit. The sum's float value is inf past the float64 range.
     Power runs under spectral_norm_power's default iteration cap; a run
     that exhausts it keeps its estimate and says so in the note. Raises
     ValueError for a method not in METHOD_NAMES.
@@ -185,6 +202,10 @@ def run_method(
     except PrecisionLoss:
         bound = "2**53" if method == "dft" else "2**26"
         return MethodResult(method, None, note=f"skipped: entries reach {bound}")
+    except DenseBudgetExceeded:
+        return MethodResult(
+            method, None, note=f"skipped: order exceeds {DENSE_ORDER_LIMIT}"
+        )
     note = None
     if not record.converged:
         note = f"no convergence after {record.iterations} iterations"

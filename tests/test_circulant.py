@@ -17,7 +17,7 @@ from circnorm import (
     to_dense,
 )
 
-from conftest import oracle_dft, oracle_matvec
+from conftest import oracle_dense, oracle_dft, oracle_matvec
 
 first_rows = st.lists(
     st.integers(min_value=0, max_value=10**6), min_size=1, max_size=64
@@ -104,6 +104,29 @@ class TestToDense:
         dense = to_dense(from_sequence("fibonacci", 100))
         assert dense.dtype == object
         assert type(dense[50, 0]) is int
+
+    @pytest.mark.parametrize(
+        "row, dtype",
+        [
+            ((2**26 - 1, 0), np.float64),
+            ((2**26 - 1, 2**26 - 1), np.float64),
+            ((2**26, 0), np.int64),  # n * max**2 is exactly 2**53
+            ((2**31 - 1, 0), np.int64),
+            ((2**31 - 1, 2**31 - 1), np.int64),
+            ((2**31, 0), object),  # n * max**2 is exactly 2**63
+            ((2**31, 2**31), object),
+        ],
+    )
+    def test_dtype_keeps_gram_exact(self, row, dtype):
+        dense = to_dense(CirculantMatrix(row))
+        assert dense.dtype == dtype
+        plain = oracle_dense(row)
+        n = len(row)
+        exact = [
+            [sum(plain[k][i] * plain[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        assert [[int(x) for x in r] for r in (dense.T @ dense).tolist()] == exact
 
     @given(row=first_rows)
     def test_entry_law(self, row):

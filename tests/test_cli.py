@@ -88,6 +88,18 @@ class TestSeqCommand:
         assert doc["results"]["prefix_sum"] == "1" + ("0" * 2199 + "1") * 2
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    def test_spec_field_past_4300_digits(self, capsys):
+        # int() of a string past 4300 digits raises by default; parse_spec must not.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        big = "1" + "0" * 4300
+        code, out, _ = run_cli(
+            capsys, "seq", "--id", "custom", "--spec", f"k=1;coef=1;init={big}", "--n", "2"
+        )
+        doc = parse_record(out)
+        assert code == 0
+        assert doc["results"]["terms"] == [big, big]
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestNormCommand:
     def test_fibonacci_all_methods(self, capsys):
@@ -160,6 +172,23 @@ class TestNormCommand:
             "type": "NegativeEntry",
             "message": "first row contains negative entry -1" + "0" * 8598,
         }
+
+    def test_power_past_dense_order_limit_is_skipped(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "norm", "--id", "custom", "--spec", "k=1;coef=1;init=1", "--n", "3000",
+            "--methods", "power",
+        )
+        doc = parse_record(out)
+        assert code == 0
+        assert doc["results"]["methods"] == [
+            {
+                "method": "power",
+                "value": None,
+                "exact_value": None,
+                "note": "skipped: order exceeds 512",
+            }
+        ]
 
     def test_negative_custom_reports_structured_error(self, capsys):
         code, out, _ = run_cli(
@@ -474,6 +503,19 @@ class TestParseSpec:
     def test_invalid(self, text):
         with pytest.raises(ValueError):
             parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["1__0", "1" + "0" * 4300 + ".5", "1" + "0" * 4300 + "e3", "--1" + "0" * 4300],
+    )
+    def test_non_integer_field_past_4300_digits(self, field):
+        with pytest.raises(ValueError, match="non-integer field"):
+            parse_spec(f"k=1;coef=1;init={field}")
+
+    def test_fields_past_4300_digits(self):
+        spec = parse_spec("k=2; coef=1,-1_" + "0" * 4400 + "; init= 7" + "0" * 5000 + " ,1")
+        assert spec.coefficients == (1, -(10**4400))
+        assert spec.initial_terms == (7 * 10**5000, 1)
 
 
 class TestModuleEntrypoint:

@@ -19,7 +19,9 @@ from circnorm import (
 )
 
 import circnorm.spectral
-from circnorm.spectral import run_method
+from circnorm.circulant import to_dense
+from circnorm.errors import DenseBudgetExceeded
+from circnorm.spectral import DENSE_ORDER_LIMIT, run_method
 
 from conftest import oracle_builtin
 
@@ -285,6 +287,31 @@ class TestRunMethod:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_method(CirculantMatrix((1,)), "qr")
+
+
+class TestDenseOrderLimit:
+    def test_near_guard_row_at_the_limit_runs_in_int64(self):
+        rng = np.random.default_rng(512)
+        row = tuple(int(x) for x in rng.integers(2**26 - 4096, 2**26, size=512))
+        matrix = CirculantMatrix(row)
+        assert DENSE_ORDER_LIMIT == 512
+        assert to_dense(matrix).dtype == np.int64
+        result = run_method(matrix, "power")
+        assert result.note is None
+        assert rel_close(result.value, float(sum(row)), 1e-8)
+
+    def test_past_the_limit_is_skipped(self):
+        result = run_method(CirculantMatrix((1,) * 513), "power")
+        assert result.value is None
+        assert result.note == "skipped: order exceeds 512"
+
+    def test_entry_guard_note_comes_first(self):
+        result = run_method(CirculantMatrix((2**26,) + (1,) * 512), "power")
+        assert result.note == "skipped: entries reach 2**26"
+
+    def test_direct_call_past_the_limit_raises(self):
+        with pytest.raises(DenseBudgetExceeded, match="513"):
+            spectral_norm_power(CirculantMatrix((1,) * 513))
 
 
 class TestDefaults:
