@@ -6,18 +6,13 @@ independent ways: the exact first-row sum, DFT diagonalization, and a
 dense Gram power iteration. The routes cross-validate each other, along
 with the classical partial-sum identities for the Fibonacci, Lucas,
 Pell and Perrin sequences.
+
+Importing the package does not import numpy: the circulant and spectral
+names, and the circulant, spectral and cli submodules, load on first access.
 """
 
-from .circulant import (
-    EXACT_DOUBLE_BOUND,
-    CirculantMatrix,
-    all_ones_eigencheck,
-    eigenvalues_dft,
-    from_sequence,
-    matvec_fft,
-    matvec_naive,
-    to_dense,
-)
+import importlib
+
 from .errors import (
     CircnormError,
     DimensionMismatch,
@@ -39,13 +34,35 @@ from .sequences import (
     resolve,
     term,
 )
-from .spectral import (
-    GRAM_SAFE_BOUND,
-    compare_methods,
-    spectral_norm_dft,
-    spectral_norm_power,
-    spectral_norm_sum,
-    spectral_radius,
+
+_SUBMODULES = ("circulant", "spectral", "cli")
+
+#: The submodule each lazily loaded public name lives in.
+_LAZY = dict.fromkeys(
+    (
+        "EXACT_DOUBLE_BOUND",
+        "CirculantMatrix",
+        "all_ones_eigencheck",
+        "eigenvalues_dft",
+        "from_sequence",
+        "matvec_fft",
+        "matvec_naive",
+        "to_dense",
+    ),
+    "circulant",
+)
+_LAZY.update(
+    dict.fromkeys(
+        (
+            "GRAM_SAFE_BOUND",
+            "compare_methods",
+            "spectral_norm_dft",
+            "spectral_norm_power",
+            "spectral_norm_sum",
+            "spectral_radius",
+        ),
+        "spectral",
+    )
 )
 
 __version__ = "0.1.0"
@@ -84,3 +101,17 @@ __all__ = [
     "to_dense",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # Read through on every access, so circnorm.<name> is always the
+    # submodule's current attribute (monkeypatching reaches both).
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))

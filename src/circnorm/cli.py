@@ -9,7 +9,9 @@ verify's methods list is JSON-only. A CircnormError raised by a command
 yields the JSON error document and exit 1 under either --format.
 Diagnostics go to stderr. Exact integers are serialized as decimal
 strings, at any size, so they survive JSON consumers that parse numbers
-as float64.
+as float64. Only the functions that build matrices or norms import the
+numpy-backed circulant and spectral modules, so seq, --help and usage
+errors run without numpy.
 
 Exit codes: 0 success / all checks agree, 1 verification or computation
 failure, 2 usage error.
@@ -27,7 +29,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from . import circulant, sequences, spectral
+from . import sequences
 from .errors import CircnormError
 from .sequences import _decimal, _from_decimal
 
@@ -198,6 +200,7 @@ def _sequence_from_args(
 
 
 def _parse_methods(parser: argparse.ArgumentParser, text: str) -> list[str]:
+    from . import spectral
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         parser.error("--methods must name at least one method")
@@ -222,6 +225,7 @@ def _method_entry(r: spectral.MethodResult) -> dict:
 
 def _circulants(seq: sequences.SequenceId, orders: list[int]):
     """circ(t(0), ..., t(n-1)) for each n in orders, all sliced from one prefix."""
+    from . import circulant
     terms = sequences.prefix(seq, max(orders))
     return (circulant.CirculantMatrix(tuple(terms[:n])) for n in orders)
 
@@ -243,6 +247,7 @@ def cmd_seq(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
 
 
 def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
+    from . import circulant, spectral
     matrix = circulant.from_sequence(seq, args.n)
     report = spectral.compare_methods(matrix, rel_tol=args.rel_tol, methods=args.methods)
     results = {
@@ -257,6 +262,7 @@ def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
 
 def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[dict]]:
     """Run the per-n audit and norm cross-check for one builtin."""
+    from . import spectral
     audit = sequences.audit_closed_form_identity(name, n_max)
     matrices = _circulants(name, [row.n for row in audit.rows])
     rows = []
@@ -320,6 +326,7 @@ def _timed(func, reps: int) -> tuple[float, object]:
 
 
 def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
+    from . import spectral
     rows = []
     all_agree = True
     for n, matrix in zip(args.n, _circulants(seq, args.n)):

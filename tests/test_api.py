@@ -1,4 +1,10 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import circnorm
 
@@ -57,3 +63,68 @@ def test_public_surface():
         module = importlib.import_module(f"circnorm.{module_name}")
         assert name in module.__all__
         getattr(module, name)
+
+
+#: The public names that load, with numpy, on first access.
+LAZY = {
+    "circulant": [
+        "EXACT_DOUBLE_BOUND",
+        "CirculantMatrix",
+        "all_ones_eigencheck",
+        "eigenvalues_dft",
+        "from_sequence",
+        "matvec_fft",
+        "matvec_naive",
+        "to_dense",
+    ],
+    "spectral": [
+        "GRAM_SAFE_BOUND",
+        "compare_methods",
+        "spectral_norm_dft",
+        "spectral_norm_power",
+        "spectral_norm_sum",
+        "spectral_radius",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "module_name, name", [(m, name) for m, names in LAZY.items() for name in names]
+)
+def test_lazy_name_is_the_module_attribute(module_name, name, monkeypatch):
+    module = importlib.import_module(f"circnorm.{module_name}")
+    assert getattr(circnorm, name) is getattr(module, name)
+    replacement = object()
+    monkeypatch.setattr(module, name, replacement)
+    assert getattr(circnorm, name) is replacement
+
+
+def test_submodules_resolve_after_bare_import():
+    probe = (
+        "import circnorm; "
+        "print([m.__name__ for m in (circnorm.circulant, circnorm.spectral, circnorm.cli)])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['circnorm.circulant', 'circnorm.spectral', 'circnorm.cli']"
+
+
+def test_dir_lists_every_public_name():
+    assert set(circnorm.__all__) <= set(dir(circnorm))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from circnorm import *", namespace)
+    assert set(namespace) - {"__builtins__"} == TOP_LEVEL | {"__version__"}
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        circnorm.no_such_name

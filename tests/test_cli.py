@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -529,3 +531,50 @@ class TestModuleEntrypoint:
         doc = json.loads(proc.stdout)
         VALIDATOR.validate(doc)
         assert doc["results"]["terms"] == ["3", "0", "2", "3"]
+
+
+#: Runs `python -m circnorm <argv>` (or, with no argv, a bare `import circnorm`)
+#: in this process, then one norm through cli.main; prints
+#: [exit code, numpy loaded before the norm, norm exit code, numpy loaded after].
+NUMPY_PROBE = """
+import contextlib, io, json, runpy, sys
+argv = json.loads(sys.argv[1])
+code = None
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    if argv:
+        sys.argv = ["circnorm", *argv]
+        try:
+            runpy.run_module("circnorm", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    else:
+        import circnorm
+    before = "numpy" in sys.modules
+    import circnorm.cli
+    norm_code = circnorm.cli.main(["norm", "--id", "pell", "--n", "12"])
+print(json.dumps([code, before, norm_code, "numpy" in sys.modules]))
+"""
+
+
+class TestNumpyFreeStart:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ([], None),
+            (["seq", "--id", "fibonacci", "--n", "10", "--sum"], 0),
+            (["seq", "--id", "custom", "--spec", "k=2;coef=1,1;init=0,1", "--n", "5"], 0),
+            (["--help"], 0),
+            (["norm", "--id", "fibonacci", "--n", "0"], 2),
+        ],
+    )
+    def test_numpy_loads_only_for_norms(self, argv, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, False, 0, True]
