@@ -19,7 +19,7 @@ here is pure and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index as _as_int
 from typing import Sequence
 
@@ -46,9 +46,14 @@ EXACT_DOUBLE_BOUND = 2**53
 
 @dataclass(frozen=True)
 class CirculantMatrix:
-    """circ(c0, ..., c(n-1)) stored as its first row of nonnegative ints."""
+    """circ(c0, ..., c(n-1)) stored as its first row of nonnegative ints.
+
+    max_entry is the largest entry, found once at construction; every guard
+    and to_dense compare it. Equality, hash and repr use first_row only.
+    """
 
     first_row: tuple[int, ...]
+    max_entry: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         row = tuple(map(_as_int, self.first_row))
@@ -58,6 +63,7 @@ class CirculantMatrix:
         if min(row) < 0:
             first = next(c for c in row if c < 0)
             raise NegativeEntry(f"first row contains negative entry {_decimal(first)}")
+        object.__setattr__(self, "max_entry", max(row))
 
     @property
     def order(self) -> int:
@@ -105,7 +111,7 @@ def to_dense(matrix: CirculantMatrix) -> np.ndarray:
     """
     row = matrix.first_row
     n = len(row)
-    peak = n * max(row) ** 2
+    peak = n * matrix.max_entry ** 2
     if peak < EXACT_DOUBLE_BOUND:
         dtype = np.float64
     elif peak < 2**63:
@@ -138,7 +144,7 @@ def _require_exact_double(values, what: str) -> None:
         if isinstance(x, (int, np.integer)) and abs(int(x)) >= EXACT_DOUBLE_BOUND:
             bits = abs(int(x)).bit_length()  # past 4300 digits an int has no str()
             raise PrecisionLoss(
-                f"{what} of {bits} bits reaches 2**53 and would round in float64"
+                f"{what} of {bits} bits; float64 holds every integer only below 2**53"
             )
 
 
@@ -154,15 +160,15 @@ def matvec_fft(matrix: CirculantMatrix, vector: Sequence[float]) -> np.ndarray:
     The transform length is exactly n (mixed-radix, no padding). Each
     output component stays within relative 1e-10 of the exact product,
     measured against the largest exact component with a 1e-12 absolute
-    floor. Raises PrecisionLoss if an integer input would round on
-    conversion to float64.
+    floor. Raises PrecisionLoss for an integer input at or past 2**53 in
+    magnitude; float64 holds every integer only below 2**53.
     """
     n = matrix.order
     if len(vector) != n:
         raise DimensionMismatch(
             f"vector has length {len(vector)}, matrix order is {n}"
         )
-    _require_exact_double(matrix.first_row, "matrix entry")
+    _require_exact_double((matrix.max_entry,), "matrix entry")
     _require_exact_double(vector, "vector entry")
     v = np.asarray(vector, dtype=np.float64)
     return np.fft.ifft(_eigenvalue_array(matrix) * np.fft.fft(v)).real
@@ -173,9 +179,9 @@ def eigenvalues_dft(matrix: CirculantMatrix) -> Spectrum:
 
     lambda_0 is the entry sum (exactly, up to float64 roundoff); the
     rest come in conjugate pairs since the entries are real. Raises
-    PrecisionLoss when an entry is too large for exact float64.
+    PrecisionLoss when the largest entry is not below 2**53.
     """
-    _require_exact_double(matrix.first_row, "matrix entry")
+    _require_exact_double((matrix.max_entry,), "matrix entry")
     return Spectrum(_eigenvalue_array(matrix))
 
 

@@ -94,10 +94,10 @@ def spectral_norm_power(
 
     G is formed exactly, in float64 or int64 (see to_dense), and converted
     to float64, where an entry past 2**53 rounds once, to within relative
-    2**-53 (see GRAM_SAFE_BOUND). It is iterated from the deterministic
-    all-ones seed, which is never orthogonal to the Perron direction of
-    a nonnegative symmetric matrix. Convergence requires both conditions
-    at once:
+    2**-53 (see GRAM_SAFE_BOUND). The all-ones seed is an exact eigenvector
+    of every circulant's Gram, so a run stops after 2 iterations: the route
+    checks the exact Gram and its float64 conversion, not that lambda_0
+    dominates. Convergence requires both conditions at once:
 
       * relative change of the Rayleigh quotient below rel_tol, and
       * residual ||G v - theta v|| / theta below 10 * rel_tol,
@@ -118,17 +118,16 @@ def spectral_norm_power(
         max_iter = 50 * n + 1000
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    for c in matrix.first_row:
-        if c >= GRAM_SAFE_BOUND:
-            raise PrecisionLoss(
-                f"entry of {c.bit_length()} bits reaches 2**26; "
-                "the dense Gram path would lose exactness"
-            )
+    if matrix.max_entry >= GRAM_SAFE_BOUND:
+        raise PrecisionLoss(
+            f"entry of {matrix.max_entry.bit_length()} bits is not below 2**26, "
+            f"the bound that keeps n * max**2 < 2**61 up to order {DENSE_ORDER_LIMIT}"
+        )
     if n > DENSE_ORDER_LIMIT:
         raise DenseBudgetExceeded(
             f"order {n} exceeds the dense power limit of {DENSE_ORDER_LIMIT}"
         )
-    if spectral_norm_sum(matrix) == 0:
+    if matrix.max_entry == 0:
         return 0.0, ConvergenceRecord(iterations=0, residual=0.0, converged=True)
 
     dense = to_dense(matrix)

@@ -57,6 +57,32 @@ class TestCirculantMatrix:
         m = CirculantMatrix(tuple(np.array([1, 2], dtype=np.int64)))
         assert all(type(c) is int for c in m.first_row)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            tuple(np.array([3, 9, 2], dtype=np.int64)),
+            tuple(np.array([7, 1], dtype=np.uint64)),
+            (2**64 + 5, 1, 2**63),
+            (1, 10**400, 0),
+            (0, 0, 0),
+        ],
+    )
+    def test_max_entry_is_largest_entry(self, row):
+        m = CirculantMatrix(row)
+        assert m.max_entry == max(int(c) for c in row)
+        assert type(m.max_entry) is int
+
+    def test_max_entry_stays_out_of_equality_hash_and_repr(self):
+        a, b = CirculantMatrix((3, 0, 2)), CirculantMatrix((3, 0, 2))
+        assert a == b and hash(a) == hash(b)
+        assert a != CirculantMatrix((3, 2, 0))
+        assert repr(a) == "CirculantMatrix(first_row=(3, 0, 2))"
+
+    def test_guard_reports_largest_entry(self):
+        # The bit count is the largest entry's, wherever it sits in the row.
+        with pytest.raises(PrecisionLoss, match=r"^matrix entry of 55 bits; "):
+            eigenvalues_dft(CirculantMatrix((2**53, 1, 2**54)))
+
 
 class TestFromSequence:
     def test_frozen_cases(self):
@@ -203,9 +229,10 @@ class TestMatvecFFT:
             matvec_fft(CirculantMatrix((1, 2)), [1.0])
 
     def test_entry_guard(self):
-        with pytest.raises(PrecisionLoss):
+        exact = r"of 54 bits; float64 holds every integer only below 2\*\*53$"
+        with pytest.raises(PrecisionLoss, match="^matrix entry " + exact):
             matvec_fft(CirculantMatrix((2**53, 1)), [1.0, 1.0])
-        with pytest.raises(PrecisionLoss):
+        with pytest.raises(PrecisionLoss, match="^vector entry " + exact):
             matvec_fft(CirculantMatrix((1, 1)), [2**53, 0])
         # One below the bound converts exactly and is accepted.
         matvec_fft(CirculantMatrix((2**53 - 1, 0)), [1.0, 0.0])
@@ -253,7 +280,8 @@ class TestEigenvaluesDFT:
         assert lam1 == pytest.approx(1j, abs=1e-12)
 
     def test_entry_guard(self):
-        with pytest.raises(PrecisionLoss):
+        exact = r"of 54 bits; float64 holds every integer only below 2\*\*53$"
+        with pytest.raises(PrecisionLoss, match="^matrix entry " + exact):
             eigenvalues_dft(CirculantMatrix((2**53,)))
         eigenvalues_dft(CirculantMatrix((2**53 - 1,)))
 

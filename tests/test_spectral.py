@@ -129,7 +129,11 @@ class TestSpectralNormPower:
         assert record.iterations == 0
 
     def test_entry_guard(self):
-        with pytest.raises(PrecisionLoss):
+        with pytest.raises(
+            PrecisionLoss,
+            match=r"^entry of 27 bits is not below 2\*\*26, the bound that keeps "
+            r"n \* max\*\*2 < 2\*\*61 up to order 512$",
+        ):
             spectral_norm_power(CirculantMatrix((2**26, 1)))
         value, _ = spectral_norm_power(CirculantMatrix((2**26 - 1, 1)))
         assert value == pytest.approx(float(2**26), rel=1e-8)
@@ -261,12 +265,16 @@ class TestRunMethod:
         ],
     )
     def test_guard_is_exact(self, method, bound, note):
-        skipped = run_method(CirculantMatrix((bound, 1)), method)
-        assert skipped.value is None
-        assert skipped.note == note
-        ran = run_method(CirculantMatrix((bound - 1, 1)), method)
-        assert ran.note is None
-        assert ran.value == pytest.approx(float(bound), rel=1e-8)
+        # The offending entry first, and last in a longer row.
+        n = {"dft": 4096, "power": 64}[method]
+        for head, tail in [((), (1,)), ((1,) * (n - 1), ())]:
+            skipped = run_method(CirculantMatrix(head + (bound,) + tail), method)
+            assert skipped.value is None
+            assert skipped.note == note
+            row = head + (bound - 1,) + tail
+            ran = run_method(CirculantMatrix(row), method)
+            assert ran.note is None
+            assert ran.value == pytest.approx(float(sum(row)), rel=1e-8)
 
     def test_sum_past_float_range(self):
         matrix = CirculantMatrix((10**400,))
