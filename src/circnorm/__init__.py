@@ -7,63 +7,13 @@ dense Gram power iteration. The routes cross-validate each other, along
 with the classical partial-sum identities for the Fibonacci, Lucas,
 Pell and Perrin sequences.
 
-Importing the package does not import numpy: the circulant and spectral
-names, and the circulant, spectral and cli submodules, load on first access.
+Importing the package loads none of its submodules. Every public name
+is read, on each access, from the submodule whose __all__ lists it:
+errors and sequences are searched first, so their names load no numpy;
+numpy loads with the first circulant or spectral name.
 """
 
 import importlib
-
-from .errors import (
-    CircnormError,
-    DimensionMismatch,
-    NegativeEntry,
-    PrecisionLoss,
-    UnsupportedSequence,
-)
-from .sequences import (
-    BUILTIN_SEQUENCES,
-    FIBONACCI,
-    LUCAS,
-    PELL,
-    PERRIN,
-    RecurrenceSpec,
-    audit_closed_form_identity,
-    closed_form_sum,
-    prefix,
-    prefix_sum,
-    resolve,
-    term,
-)
-
-_SUBMODULES = ("circulant", "spectral", "cli")
-
-#: The submodule each lazily loaded public name lives in.
-_LAZY = dict.fromkeys(
-    (
-        "EXACT_DOUBLE_BOUND",
-        "CirculantMatrix",
-        "all_ones_eigencheck",
-        "eigenvalues_dft",
-        "from_sequence",
-        "matvec_fft",
-        "matvec_naive",
-        "to_dense",
-    ),
-    "circulant",
-)
-_LAZY.update(
-    dict.fromkeys(
-        (
-            "GRAM_SAFE_BOUND",
-            "compare_methods",
-            "spectral_norm_dft",
-            "spectral_norm_power",
-            "spectral_norm_sum",
-            "spectral_radius",
-        ),
-        "spectral",
-    )
-)
 
 __version__ = "0.1.0"
 
@@ -103,15 +53,23 @@ __all__ = [
 ]
 
 
+#: Searched in this order for a public name; the last two import numpy.
+_SEARCH = ("errors", "sequences", "circulant", "spectral")
+_SUBMODULES = _SEARCH + ("cli",)
+
+
 def __getattr__(name):
     # Read through on every access, so circnorm.<name> is always the
     # submodule's current attribute (monkeypatching reaches both).
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _LAZY:
-        return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    if name in __all__:
+        for module_name in _SEARCH:
+            module = importlib.import_module(f"{__name__}.{module_name}")
+            if name in module.__all__:
+                return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_LAZY) | set(_SUBMODULES))
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

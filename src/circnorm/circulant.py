@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeEntry, PrecisionLoss
-from .sequences import SequenceId, _decimal, prefix
+from .sequences import SequenceId, prefix
 
 __all__ = [
     "EXACT_DOUBLE_BOUND",
@@ -61,8 +61,9 @@ class CirculantMatrix:
         if not row:
             raise ValueError("circulant matrix needs at least one entry")
         if min(row) < 0:
-            first = next(c for c in row if c < 0)
-            raise NegativeEntry(f"first row contains negative entry {_decimal(first)}")
+            i = next(i for i, c in enumerate(row) if c < 0)
+            bits = row[i].bit_length()  # past 4300 digits an int has no str()
+            raise NegativeEntry(f"first row entry at index {i} is negative, of {bits} bits")
         object.__setattr__(self, "max_entry", max(row))
 
     @property

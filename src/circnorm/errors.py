@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CircnormError",
+    "UnsupportedSequence",
+    "NegativeEntry",
+    "DimensionMismatch",
+    "PrecisionLoss",
+    "DenseBudgetExceeded",
+]
+
 
 class CircnormError(Exception):
     """Base class for every error raised by this package."""

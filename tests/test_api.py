@@ -45,6 +45,7 @@ TOP_LEVEL = {
 #: Types of returned values, public in their modules but not re-exported.
 MODULE_ONLY = [
     ("circulant", "Spectrum"),
+    ("errors", "DenseBudgetExceeded"),
     ("sequences", "AuditRow"),
     ("sequences", "IdentityAudit"),
     ("sequences", "SequenceId"),
@@ -65,8 +66,29 @@ def test_public_surface():
         getattr(module, name)
 
 
-#: The public names that load, with numpy, on first access.
+#: Every public name, by the submodule it is read from on each access.
 LAZY = {
+    "errors": [
+        "CircnormError",
+        "DimensionMismatch",
+        "NegativeEntry",
+        "PrecisionLoss",
+        "UnsupportedSequence",
+    ],
+    "sequences": [
+        "BUILTIN_SEQUENCES",
+        "FIBONACCI",
+        "LUCAS",
+        "PELL",
+        "PERRIN",
+        "RecurrenceSpec",
+        "audit_closed_form_identity",
+        "closed_form_sum",
+        "prefix",
+        "prefix_sum",
+        "resolve",
+        "term",
+    ],
     "circulant": [
         "EXACT_DOUBLE_BOUND",
         "CirculantMatrix",
@@ -99,11 +121,8 @@ def test_lazy_name_is_the_module_attribute(module_name, name, monkeypatch):
     assert getattr(circnorm, name) is replacement
 
 
-def test_submodules_resolve_after_bare_import():
-    probe = (
-        "import circnorm; "
-        "print([m.__name__ for m in (circnorm.circulant, circnorm.spectral, circnorm.cli)])"
-    )
+def _child(probe):
+    """stdout of a fresh interpreter that runs probe with this checkout's src first."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -112,7 +131,31 @@ def test_submodules_resolve_after_bare_import():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "['circnorm.circulant', 'circnorm.spectral', 'circnorm.cli']"
+    return proc.stdout.strip()
+
+
+def test_submodules_resolve_after_bare_import():
+    probe = (
+        "import sys, circnorm; "
+        "print(sorted(m for m in sys.modules if m.startswith('circnorm.'))); "
+        "print([m.__name__ for m in (circnorm.errors, circnorm.sequences, "
+        "circnorm.circulant, circnorm.spectral, circnorm.cli)])"
+    )
+    loaded, resolved = _child(probe).splitlines()
+    assert loaded == "[]"
+    assert resolved == (
+        "['circnorm.errors', 'circnorm.sequences', "
+        "'circnorm.circulant', 'circnorm.spectral', 'circnorm.cli']"
+    )
+
+
+def test_sequence_and_error_names_load_no_numpy():
+    probe = (
+        "import sys; "
+        "from circnorm import prefix, RecurrenceSpec, closed_form_sum, CircnormError; "
+        "print('numpy' in sys.modules)"
+    )
+    assert _child(probe) == "False"
 
 
 def test_dir_lists_every_public_name():
@@ -126,5 +169,7 @@ def test_star_import_binds_every_public_name():
 
 
 def test_unknown_attribute_raises():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        circnorm.no_such_name
+    # Module-only names stay off the package, too.
+    for name in ["no_such_name", "Spectrum", "METHOD_NAMES", "DenseBudgetExceeded"]:
+        with pytest.raises(AttributeError, match=name):
+            getattr(circnorm, name)

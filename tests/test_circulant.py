@@ -46,7 +46,8 @@ class TestCirculantMatrix:
             CirculantMatrix((1, -1))
 
     def test_negative_error_names_first_entry(self):
-        with pytest.raises(NegativeEntry, match="negative entry -1$"):
+        message = "^first row entry at index 1 is negative, of 1 bits$"
+        with pytest.raises(NegativeEntry, match=message):
             CirculantMatrix((1, -1, -5))
 
     def test_rejects_non_integer(self):

@@ -172,7 +172,7 @@ class TestNormCommand:
         assert code == 1
         assert doc["error"] == {
             "type": "NegativeEntry",
-            "message": "first row contains negative entry -1" + "0" * 8598,
+            "message": "first row entry at index 2 is negative, of 28562 bits",  # -10**8598
         }
 
     def test_power_past_dense_order_limit_is_skipped(self, capsys):
