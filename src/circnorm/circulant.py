@@ -24,6 +24,7 @@ from operator import index as _as_int
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionMismatch, NegativeEntry, PrecisionLoss
 from .sequences import SequenceId, prefix
@@ -97,13 +98,31 @@ def from_sequence(seq: SequenceId, n: int) -> CirculantMatrix:
     return CirculantMatrix(tuple(prefix(seq, n)))
 
 
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """Dense circulant of the 1-D array c, dense[i, j] = c[(j - i) % n], in c's dtype.
+
+    Row i is the length-n window of c written out twice that starts at
+    n - i, so the windows lie in entries 1 to 2n - 1. They are read through
+    one strided view, which is copied: the result is owned, writeable and
+    C-contiguous at every order. (sliding_window_view builds the same view
+    with about 10 us more overhead per call, which shows in the power
+    route at small orders.)
+    """
+    n = len(c)
+    doubled = np.concatenate((c, c))
+    step = doubled.strides[0]
+    return as_strided(doubled[n:], shape=(n, n), strides=(-step, step)).copy()
+
+
 def to_dense(matrix: CirculantMatrix) -> np.ndarray:
     """Dense n x n matrix with exact integer entries, dense[i, j] = c[(j - i) % n].
 
-    The dtype is the cheapest in which dense.T @ dense (and dense @ dense.T)
-    is exact. Each entry of that product sums n products of two entries,
-    so every partial sum, in any order, is a nonnegative integer at most
-    n * max**2:
+    The result is an owned, C-contiguous array, built in O(n**2). Its dtype
+    is the cheapest in which the Gram dense.T @ dense (and dense @ dense.T)
+    is exact. That Gram is itself a circulant, so the power route multiplies
+    out only its first row, dense[:, 0] @ dense, which is exact in the same
+    dtype. Each Gram entry sums n products of two entries, so every partial
+    sum, in any order, is a nonnegative integer at most n * max**2:
 
       * float64 when n * max**2 < 2**53: every partial sum is an integer
         that float64 holds exactly, so the BLAS product is exact;
@@ -119,8 +138,7 @@ def to_dense(matrix: CirculantMatrix) -> np.ndarray:
         dtype = np.int64
     else:
         dtype = object
-    shift = np.arange(n)
-    return np.array(row, dtype=dtype)[(shift - shift[:, None]) % n]
+    return _circulant(np.array(row, dtype=dtype))
 
 
 def matvec_naive(matrix: CirculantMatrix, vector: Sequence[int]) -> list[int]:

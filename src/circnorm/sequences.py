@@ -165,16 +165,20 @@ def prefix(seq: SequenceId, n: int) -> list[int]:
     """First n terms [t(0), ..., t(n-1)], generated in one linear pass.
 
     Each new term costs one big-integer addition per nonzero coefficient
-    (plus a multiplication where the coefficient is not 1).
+    after the first (plus a multiplication where the coefficient is not 1).
     """
     if n < 1:
         raise ValueError("term count must be positive")
     spec = resolve(seq)
     terms = list(spec.initial_terms[:n])
     taps = [(j, a) for j, a in enumerate(spec.coefficients, start=1) if a]
+    if not taps:
+        return terms + [0] * (n - len(terms))
+    (j0, a0), rest = taps[0], taps[1:]
     for _ in range(len(terms), n):
-        total = 0
-        for j, a in taps:
+        # Starting from the first tap, not from 0, saves one copy of a term.
+        total = terms[-j0] if a0 == 1 else a0 * terms[-j0]
+        for j, a in rest:
             total += terms[-j] if a == 1 else a * terms[-j]
         terms.append(total)
     return terms

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circulant import CirculantMatrix, eigenvalues_dft, to_dense
+from .circulant import CirculantMatrix, _circulant, eigenvalues_dft, to_dense
 from .errors import DenseBudgetExceeded, PrecisionLoss
 
 __all__ = [
@@ -38,19 +38,17 @@ __all__ = [
 ]
 
 #: Entry guard for the power path. Below 2**26 every product of two
-#: entries is below 2**52, and the Gram matrix is formed from them
+#: entries is below 2**52, and the Gram's first row is formed from them
 #: exactly (float64 or int64, see circulant.to_dense). A Gram entry sums
 #: n such products, so it can pass 2**53; it then rounds once, to within
 #: relative 2**-53, on conversion to float64.
 GRAM_SAFE_BOUND = 2**26
 
-#: Order budget for the power path, whose dense matrix and Gram take
-#: O(n**2) memory and O(n**3) time. With entries below GRAM_SAFE_BOUND
-#: and n <= 2**9, n * max**2 < 2**61, so to_dense picks float64 or int64
-#: and the Gram cannot overflow. numpy's int64 matmul is an unblocked
-#: loop, so the int64 Gram is the costlier one: on a 2-core x86-64 host
-#: it took 0.50 s at n = 512 and 7.1 s at n = 1024 (float64: 0.02 s and
-#: 0.04 s).
+#: Order budget for the power path, which holds two dense n x n arrays:
+#: the matrix (float64 or int64) and its float64 Gram. With entries below
+#: GRAM_SAFE_BOUND and n <= 2**9, n * max**2 < 2**61, so to_dense picks
+#: float64 or int64 and no Gram entry overflows. At n = 512 the two
+#: arrays take 4 MiB.
 DENSE_ORDER_LIMIT = 512
 
 METHOD_NAMES = ("sum", "dft", "power")
@@ -76,6 +74,18 @@ def spectral_norm_dft(matrix: CirculantMatrix) -> float:
 spectral_radius = spectral_norm_dft
 
 
+def _gram(matrix: CirculantMatrix) -> np.ndarray:
+    """G = A^T A of A = to_dense(matrix) in float64, from its exact first row.
+
+    G is itself a circulant, G[i, j] = g[(j - i) % n] with g = A[:, 0] @ A,
+    so only g is multiplied out, in O(n**2). Each entry of g is one Gram
+    entry, exact in to_dense's dtype, and rounds once on conversion to
+    float64, as every entry of the full product A^T A would.
+    """
+    dense = to_dense(matrix)
+    return _circulant((dense[:, 0] @ dense).astype(np.float64))
+
+
 @dataclass(frozen=True)
 class ConvergenceRecord:
     """Outcome of a power iteration: step count, final residual, flag."""
@@ -92,12 +102,14 @@ def spectral_norm_power(
 ) -> tuple[float, ConvergenceRecord]:
     """Spectral norm as sqrt of the dominant eigenvalue of G = A^T A.
 
-    G is formed exactly, in float64 or int64 (see to_dense), and converted
-    to float64, where an entry past 2**53 rounds once, to within relative
-    2**-53 (see GRAM_SAFE_BOUND). The all-ones seed is an exact eigenvector
-    of every circulant's Gram, so a run stops after 2 iterations: the route
-    checks the exact Gram and its float64 conversion, not that lambda_0
-    dominates. Convergence requires both conditions at once:
+    G is a circulant, so only its first row is multiplied out (see _gram),
+    in O(n**2). That row is exact in float64 or int64 (see to_dense), and
+    converted to float64, where an entry past 2**53 rounds once, to within
+    relative 2**-53 (see GRAM_SAFE_BOUND). The all-ones seed is an exact
+    eigenvector of every circulant's Gram, so a run stops after 2
+    iterations: the route checks the exact Gram and its float64
+    conversion, not that lambda_0 dominates. Convergence requires both
+    conditions at once:
 
       * relative change of the Rayleigh quotient below rel_tol, and
       * residual ||G v - theta v|| / theta below 10 * rel_tol,
@@ -130,8 +142,7 @@ def spectral_norm_power(
     if matrix.max_entry == 0:
         return 0.0, ConvergenceRecord(iterations=0, residual=0.0, converged=True)
 
-    dense = to_dense(matrix)
-    gram = (dense.T @ dense).astype(np.float64)
+    gram = _gram(matrix)
     v = np.full(n, 1.0 / math.sqrt(n))
     theta = 0.0
     theta_prev = None

@@ -155,6 +155,22 @@ class TestToDense:
         ]
         assert [[int(x) for x in r] for r in (dense.T @ dense).tolist()] == exact
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 512])
+    @pytest.mark.parametrize(
+        "peak, dtype",
+        # n * peak**2 stays in the dtype's range at every order from 1 to 512.
+        [(2**20, np.float64), (2**27 - 1, np.int64), (2**32, object)],
+        ids=["float64", "int64", "object"],
+    )
+    def test_owned_contiguous_and_exact(self, n, peak, dtype):
+        rng = np.random.default_rng([n, peak])
+        row = [int(x) for x in rng.integers(0, 2**20, size=n)]
+        row[int(rng.integers(n))] = peak
+        dense = to_dense(CirculantMatrix(tuple(row)))
+        assert dense.dtype == dtype
+        assert dense.flags.owndata and dense.flags.writeable and dense.flags.c_contiguous
+        assert dense.tolist() == oracle_dense(row)
+
     @given(row=first_rows)
     def test_entry_law(self, row):
         dense = to_dense(CirculantMatrix(tuple(row)))

@@ -21,9 +21,9 @@ from circnorm import (
 import circnorm.spectral
 from circnorm.circulant import to_dense
 from circnorm.errors import DenseBudgetExceeded
-from circnorm.spectral import DENSE_ORDER_LIMIT, run_method
+from circnorm.spectral import DENSE_ORDER_LIMIT, _gram, run_method
 
-from conftest import oracle_builtin
+from conftest import oracle_builtin, oracle_dense, oracle_gram
 
 
 def rel_close(a, b, rel):
@@ -159,6 +159,35 @@ class TestSpectralNormPower:
     def test_residual_reported_small_on_convergence(self):
         _, record = spectral_norm_power(CirculantMatrix((5, 2, 8, 1)))
         assert record.residual <= 1e-7
+
+
+class TestGram:
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 511, 512])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 2**20), (0, GRAM_SAFE_BOUND), (GRAM_SAFE_BOUND - 4096, GRAM_SAFE_BOUND)],
+        ids=["small", "below-guard", "near-guard"],
+    )
+    def test_equals_exact_gram_rounded_once(self, n, lo, hi):
+        rng = np.random.default_rng([n, lo, hi])
+        row = tuple(int(x) for x in rng.integers(lo, hi, size=n))
+        matrix = CirculantMatrix(row)
+        # Small rows stay in float64; from order 3 up the others are int64.
+        regime = np.float64 if n * matrix.max_entry**2 < 2**53 else np.int64
+        assert to_dense(matrix).dtype == regime
+        gram = _gram(matrix)
+        assert gram.dtype == np.float64
+        assert gram.tolist() == [[float(x) for x in r] for r in oracle_gram(row)]
+
+    def test_oracle_gram_is_the_plain_product(self):
+        for row in [(5,), (1, 2), (3, 0, 7), (2**26 - 1, 2**26 - 2, 8191, 8192)]:
+            plain = oracle_dense(row)
+            n = len(row)
+            exact = [
+                [sum(plain[k][i] * plain[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert oracle_gram(row) == exact
 
 
 class TestNormDefinitionConsistency:
