@@ -114,31 +114,34 @@ def _circulant(c: np.ndarray) -> np.ndarray:
     return as_strided(doubled[n:], shape=(n, n), strides=(-step, step)).copy()
 
 
-def to_dense(matrix: CirculantMatrix) -> np.ndarray:
-    """Dense n x n matrix with exact integer entries, dense[i, j] = c[(j - i) % n].
+def _exact_dtype(matrix: CirculantMatrix) -> type:
+    """The cheapest dtype in which the Gram of circ(first_row) is exact.
 
-    The result is an owned, C-contiguous array, built in O(n**2). Its dtype
-    is the cheapest in which the Gram dense.T @ dense (and dense @ dense.T)
-    is exact. That Gram is itself a circulant, so the power route multiplies
-    out only its first row, dense[:, 0] @ dense, which is exact in the same
-    dtype. Each Gram entry sums n products of two entries, so every partial
-    sum, in any order, is a nonnegative integer at most n * max**2:
+    Each Gram entry sums n products of two entries, so every partial sum,
+    in any order, is a nonnegative integer at most n * max**2:
 
       * float64 when n * max**2 < 2**53: every partial sum is an integer
-        that float64 holds exactly, so the BLAS product is exact;
+        that float64 holds exactly, so a BLAS product is exact;
       * int64 when n * max**2 < 2**63: no partial sum overflows;
       * object (Python ints) otherwise, exact at any magnitude.
     """
-    row = matrix.first_row
-    n = len(row)
-    peak = n * matrix.max_entry ** 2
+    peak = matrix.order * matrix.max_entry ** 2
     if peak < EXACT_DOUBLE_BOUND:
-        dtype = np.float64
-    elif peak < 2**63:
-        dtype = np.int64
-    else:
-        dtype = object
-    return _circulant(np.array(row, dtype=dtype))
+        return np.float64
+    if peak < 2**63:
+        return np.int64
+    return object
+
+
+def to_dense(matrix: CirculantMatrix) -> np.ndarray:
+    """Dense n x n matrix with exact integer entries, dense[i, j] = c[(j - i) % n].
+
+    The result is an owned, C-contiguous array, built in O(n**2), in
+    _exact_dtype's dtype: the cheapest in which the Gram dense.T @ dense
+    (and dense @ dense.T) is exact. The power route does not build it;
+    it forms the Gram's first row from the row alone (see spectral._gram).
+    """
+    return _circulant(np.array(matrix.first_row, dtype=_exact_dtype(matrix)))
 
 
 def matvec_naive(matrix: CirculantMatrix, vector: Sequence[int]) -> list[int]:

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .circulant import CirculantMatrix, _circulant, eigenvalues_dft, to_dense
+from .circulant import CirculantMatrix, _circulant, _exact_dtype, eigenvalues_dft
+from .circulant import to_dense  # unused here; circbench's tracer patches spectral.to_dense
 from .errors import DenseBudgetExceeded, PrecisionLoss
 
 __all__ = [
@@ -39,16 +40,16 @@ __all__ = [
 
 #: Entry guard for the power path. Below 2**26 every product of two
 #: entries is below 2**52, and the Gram's first row is formed from them
-#: exactly (float64 or int64, see circulant.to_dense). A Gram entry sums
+#: exactly (float64 or int64, see circulant._exact_dtype). A Gram entry sums
 #: n such products, so it can pass 2**53; it then rounds once, to within
 #: relative 2**-53, on conversion to float64.
 GRAM_SAFE_BOUND = 2**26
 
-#: Order budget for the power path, which holds two dense n x n arrays:
-#: the matrix (float64 or int64) and its float64 Gram. With entries below
-#: GRAM_SAFE_BOUND and n <= 2**9, n * max**2 < 2**61, so to_dense picks
-#: float64 or int64 and no Gram entry overflows. At n = 512 the two
-#: arrays take 4 MiB.
+#: Order budget for the power path, which holds one dense n x n array,
+#: the float64 Gram; its first row is formed from the matrix row alone.
+#: With entries below GRAM_SAFE_BOUND and n <= 2**9, n * max**2 < 2**61,
+#: so that row is formed in float64 or int64 and no Gram entry overflows.
+#: At n = 512 the Gram takes 2 MiB.
 DENSE_ORDER_LIMIT = 512
 
 METHOD_NAMES = ("sum", "dft", "power")
@@ -77,13 +78,17 @@ spectral_radius = spectral_norm_dft
 def _gram(matrix: CirculantMatrix) -> np.ndarray:
     """G = A^T A of A = to_dense(matrix) in float64, from its exact first row.
 
-    G is itself a circulant, G[i, j] = g[(j - i) % n] with g = A[:, 0] @ A,
-    so only g is multiplied out, in O(n**2). Each entry of g is one Gram
-    entry, exact in to_dense's dtype, and rounds once on conversion to
-    float64, as every entry of the full product A^T A would.
+    G is itself a circulant, G[i, j] = g[(j - i) % n], and g = A[:, 0] @ A
+    is the circular autocorrelation of the row c,
+    g_k = sum_j c_j c_((j + k) % n). It is read off the row written out
+    once and a half, in O(n**2), without building A. Each entry of g is
+    one Gram entry, exact in _exact_dtype's dtype in any summation order,
+    and rounds once on conversion to float64, as every entry of the full
+    product A^T A would.
     """
-    dense = to_dense(matrix)
-    return _circulant((dense[:, 0] @ dense).astype(np.float64))
+    c = np.array(matrix.first_row, dtype=_exact_dtype(matrix))
+    g = np.correlate(np.concatenate((c, c[:-1])), c, mode="valid")
+    return _circulant(g.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,12 @@ def spectral_norm_power(
 ) -> tuple[float, ConvergenceRecord]:
     """Spectral norm as sqrt of the dominant eigenvalue of G = A^T A.
 
-    G is a circulant, so only its first row is multiplied out (see _gram),
-    in O(n**2). That row is exact in float64 or int64 (see to_dense), and
-    converted to float64, where an entry past 2**53 rounds once, to within
-    relative 2**-53 (see GRAM_SAFE_BOUND). The all-ones seed is an exact
+    G is a circulant, so only its first row, the circular autocorrelation
+    of the matrix row, is multiplied out (see _gram), in O(n**2); the
+    float64 Gram is the one n x n array the route holds. That row is exact
+    in float64 or int64 (see circulant._exact_dtype), and converted to
+    float64, where an entry past 2**53 rounds once, to within relative
+    2**-53 (see GRAM_SAFE_BOUND). The all-ones seed is an exact
     eigenvector of every circulant's Gram, so a run stops after 2
     iterations: the route checks the exact Gram and its float64
     conversion, not that lambda_0 dominates. Convergence requires both
@@ -150,7 +157,8 @@ def spectral_norm_power(
     for iteration in range(1, max_iter + 1):
         w = gram @ v
         theta = float(v @ w)
-        residual = float(np.linalg.norm(w - theta * v)) / theta
+        r = w - theta * v
+        residual = math.sqrt(r.dot(r)) / theta
         if (
             theta_prev is not None
             and abs(theta - theta_prev) <= rel_tol * theta
@@ -158,7 +166,7 @@ def spectral_norm_power(
         ):
             return math.sqrt(theta), ConvergenceRecord(iteration, residual, True)
         theta_prev = theta
-        v = w / np.linalg.norm(w)
+        v = w / math.sqrt(w.dot(w))
     return math.sqrt(theta), ConvergenceRecord(max_iter, residual, False)
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,8 +162,19 @@ class TestSpectralNormPower:
         assert record.residual <= 1e-7
 
 
+def assert_gram_exact(matrix):
+    """_gram equals the exact Gram rounded once, and the Gram of to_dense's row product."""
+    gram = _gram(matrix)
+    assert gram.dtype == np.float64
+    assert gram.tolist() == [[float(x) for x in r] for r in oracle_gram(matrix.first_row)]
+    dense = to_dense(matrix)
+    g = (dense[:, 0] @ dense).astype(np.float64)
+    shift = np.arange(matrix.order)
+    assert np.array_equal(gram, g[(shift - shift[:, None]) % matrix.order])
+
+
 class TestGram:
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 511, 512])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 255, 256, 384, 511, 512])
     @pytest.mark.parametrize(
         "lo, hi",
         [(0, 2**20), (0, GRAM_SAFE_BOUND), (GRAM_SAFE_BOUND - 4096, GRAM_SAFE_BOUND)],
@@ -175,9 +187,21 @@ class TestGram:
         # Small rows stay in float64; from order 3 up the others are int64.
         regime = np.float64 if n * matrix.max_entry**2 < 2**53 else np.int64
         assert to_dense(matrix).dtype == regime
-        gram = _gram(matrix)
-        assert gram.dtype == np.float64
-        assert gram.tolist() == [[float(x) for x in r] for r in oracle_gram(row)]
+        assert_gram_exact(matrix)
+
+    @pytest.mark.parametrize("n", [32, 128, 512])
+    @pytest.mark.parametrize(
+        "offset, regime", [(1, np.float64), (0, np.int64)], ids=["below", "at"]
+    )
+    def test_either_side_of_the_float64_switch(self, n, offset, regime):
+        # At offset 0, n * top**2 is exactly 2**53; at offset 1 it is just below.
+        top = math.isqrt(2**53 // n) - offset
+        assert (n * top**2 < 2**53) == (regime is np.float64)
+        rng = np.random.default_rng([n, offset])
+        row = (top,) + tuple(int(x) for x in rng.integers(top - 4096, top + 1, size=n - 1))
+        matrix = CirculantMatrix(row)
+        assert to_dense(matrix).dtype == regime
+        assert_gram_exact(matrix)
 
     def test_oracle_gram_is_the_plain_product(self):
         for row in [(5,), (1, 2), (3, 0, 7), (2**26 - 1, 2**26 - 2, 8191, 8192)]:
@@ -188,6 +212,27 @@ class TestGram:
                 for i in range(n)
             ]
             assert oracle_gram(row) == exact
+
+
+class TestPowerMemory:
+    @pytest.mark.parametrize("n", [256, 384, 512])
+    @pytest.mark.parametrize(
+        "lo, hi", [(1, 2**10), (GRAM_SAFE_BOUND - 4096, GRAM_SAFE_BOUND)],
+        ids=["small", "near-guard"],
+    )
+    def test_holds_one_dense_array(self, n, lo, hi):
+        # The float64 Gram is the only n x n array; the matrix itself is never built.
+        rng = np.random.default_rng([n, lo])
+        row = tuple(int(x) for x in rng.integers(lo, hi, size=n))
+        matrix = CirculantMatrix(row)
+        tracemalloc.start()
+        try:
+            value, record = spectral_norm_power(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.converged and rel_close(value, float(sum(row)), 1e-8)
+        assert peak < 1.5 * n * n * 8
 
 
 class TestNormDefinitionConsistency:
