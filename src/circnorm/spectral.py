@@ -5,8 +5,9 @@ spectral radius; with nonnegative entries the zero-frequency eigenvalue
 (the plain row sum) has the largest modulus by the triangle inequality.
 spectral_norm_sum returns that row sum exactly, while spectral_norm_dft
 and spectral_norm_power recompute the same number through diagonalization
-and through a dense Gram power iteration, so the three can be
-cross-checked against each other.
+and through one step on the dense Gram from the all-ones eigenvector,
+certified by its residual (which does not prove that lambda_0
+dominates), so the three can be cross-checked against each other.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _gram(matrix: CirculantMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """Outcome of a power iteration: step count, final residual, flag."""
+    """Outcome of the power route: step count, residual, flag."""
 
     iterations: int
     residual: float
@@ -101,42 +102,33 @@ class ConvergenceRecord:
 
 
 def spectral_norm_power(
-    matrix: CirculantMatrix,
-    rel_tol: float = 1e-8,
-    max_iter: int | None = None,
+    matrix: CirculantMatrix, rel_tol: float = 1e-8
 ) -> tuple[float, ConvergenceRecord]:
-    """Spectral norm as sqrt of the dominant eigenvalue of G = A^T A.
+    """Spectral norm as sqrt of the eigenvalue of G = A^T A at the all-ones vector.
 
     G is a circulant, so only its first row, the circular autocorrelation
     of the matrix row, is multiplied out (see _gram), in O(n**2); the
     float64 Gram is the one n x n array the route holds. That row is exact
     in float64 or int64 (see circulant._exact_dtype), and converted to
     float64, where an entry past 2**53 rounds once, to within relative
-    2**-53 (see GRAM_SAFE_BOUND). The all-ones seed is an exact
-    eigenvector of every circulant's Gram, so a run stops after 2
-    iterations: the route checks the exact Gram and its float64
-    conversion, not that lambda_0 dominates. Convergence requires both
-    conditions at once:
+    2**-53 (see GRAM_SAFE_BOUND).
 
-      * relative change of the Rayleigh quotient below rel_tol, and
-      * residual ||G v - theta v|| / theta below 10 * rel_tol,
+    The all-ones vector is an exact eigenvector of every circulant's Gram,
+    so the route takes one step from it, certified by its residual: with
+    v = 1/sqrt(n), w = G v and theta = v.w, G is symmetric, so some
+    eigenvalue of G lies within ||w - theta v|| of theta (Parlett, The
+    Symmetric Eigenvalue Problem, 1998, ch. 4). The record holds one
+    iteration and residual = ||w - theta v|| / theta, and converged is
+    residual <= 10 * rel_tol. This checks the exact Gram and its float64
+    conversion; it does not prove that lambda_0 dominates.
 
-    since Rayleigh stagnation alone can mask slow progress under
-    eigenvalue ties. If max_iter (default 50 * n + 1000) is exhausted
-    first, the best estimate is returned with converged=False rather
-    than raising.
-
-    Raises PrecisionLoss when an entry reaches 2**26, then
-    DenseBudgetExceeded when the order passes DENSE_ORDER_LIMIT. Within
-    both, n * max**2 < 2**61.
+    Raises ValueError unless rel_tol > 0, then PrecisionLoss when an
+    entry reaches 2**26, then DenseBudgetExceeded when the order passes
+    DENSE_ORDER_LIMIT. Within both, n * max**2 < 2**61.
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
     n = matrix.order
-    if max_iter is None:
-        max_iter = 50 * n + 1000
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     if matrix.max_entry >= GRAM_SAFE_BOUND:
         raise PrecisionLoss(
             f"entry of {matrix.max_entry.bit_length()} bits is not below 2**26, "
@@ -149,25 +141,12 @@ def spectral_norm_power(
     if matrix.max_entry == 0:
         return 0.0, ConvergenceRecord(iterations=0, residual=0.0, converged=True)
 
-    gram = _gram(matrix)
     v = np.full(n, 1.0 / math.sqrt(n))
-    theta = 0.0
-    theta_prev = None
-    residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        w = gram @ v
-        theta = float(v @ w)
-        r = w - theta * v
-        residual = math.sqrt(r.dot(r)) / theta
-        if (
-            theta_prev is not None
-            and abs(theta - theta_prev) <= rel_tol * theta
-            and residual <= 10 * rel_tol
-        ):
-            return math.sqrt(theta), ConvergenceRecord(iteration, residual, True)
-        theta_prev = theta
-        v = w / math.sqrt(w.dot(w))
-    return math.sqrt(theta), ConvergenceRecord(max_iter, residual, False)
+    w = _gram(matrix) @ v
+    theta = float(v @ w)
+    r = w - theta * v
+    residual = math.sqrt(r.dot(r)) / theta
+    return math.sqrt(theta), ConvergenceRecord(1, residual, residual <= 10 * rel_tol)
 
 
 @dataclass(frozen=True)
@@ -200,8 +179,9 @@ def run_method(
     2**53, power below 2**26) is skipped: its value is None and its note
     names the bound. So is power past DENSE_ORDER_LIMIT, whose note names
     that limit. The sum's float value is inf past the float64 range.
-    Power runs under spectral_norm_power's default iteration cap; a run
-    that exhausts it keeps its estimate and says so in the note. Raises
+    Power takes one step from the all-ones eigenvector, certified by its
+    residual (not a proof that lambda_0 dominates); a step whose residual
+    exceeds 10 * rel_tol keeps its value and says so in the note. Raises
     ValueError for a method not in METHOD_NAMES.
     """
     if method == "sum":
@@ -226,7 +206,7 @@ def run_method(
         )
     note = None
     if not record.converged:
-        note = f"no convergence after {record.iterations} iterations"
+        note = f"no convergence: residual {record.residual:.1e} exceeds {10 * rel_tol:.1e}"
     return MethodResult("power", value, note=note)
 
 
@@ -262,11 +242,14 @@ def compare_methods(
 
     Each method goes through run_method, so one whose entry guard is
     violated is skipped and marked in its note instead of raising, as
-    is a power run that fails to converge within spectral_norm_power's
-    default iteration cap. norm_report then computes the pairwise gap and
-    the agrees flag. Duplicate method names run once; unknown ones raise
-    ValueError before anything runs.
+    is a power step, taken from the all-ones eigenvector, whose residual
+    does not certify it to rel_tol (the certificate does not prove that
+    lambda_0 dominates). norm_report then computes the pairwise gap and
+    the agrees flag. Duplicate method names run once; unknown ones, and
+    a rel_tol that is not positive, raise ValueError before anything runs.
     """
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be positive")
     wanted = list(dict.fromkeys(methods))
     unknown = [m for m in wanted if m not in METHOD_NAMES]
     if unknown:

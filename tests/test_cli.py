@@ -192,6 +192,20 @@ class TestNormCommand:
             }
         ]
 
+    def test_tolerance_below_float64_resolution_is_noted(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "norm", "--id", "fibonacci", "--n", "30", "--methods", "power",
+            "--rel-tol", "1e-300",
+        )
+        doc = parse_record(out)
+        assert code == 0
+        assert doc["parameters"]["rel_tol"] == 1e-300
+        (power,) = doc["results"]["methods"]
+        assert power["value"] == pytest.approx(float(1346268), rel=1e-12)
+        assert power["note"].startswith("no convergence: residual ")
+        assert power["note"].endswith(" exceeds 1.0e-299")
+
     def test_negative_custom_reports_structured_error(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -374,6 +388,7 @@ class TestUsageErrors:
             ("seq", "--id", "custom", "--spec", "k=2;coef=1;init=0,1", "--n", "5"),
             ("seq", "--id", "custom", "--spec", "gibberish", "--n", "5"),
             ("norm", "--id", "fibonacci", "--n", "4", "--methods", "qr"),
+            ("norm", "--id", "fibonacci", "--n", "4", "--methods", ","),
             ("norm", "--id", "fibonacci", "--n", "4", "--rel-tol", "0"),
             ("verify", "--id", "custom", "--n-max", "5"),
             ("bench", "--id", "fibonacci", "--n", "4,0", "--reps", "1"),

@@ -252,3 +252,7 @@ class TestAudit:
     def test_custom_unsupported(self):
         with pytest.raises(UnsupportedSequence):
             audit_closed_form_identity(RecurrenceSpec((1,), (1,)), 5)
+
+    def test_n_max_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_max must be positive"):
+            audit_closed_form_identity("pell", 0)

@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -19,7 +18,6 @@ from circnorm import (
     spectral_radius,
 )
 
-import circnorm.spectral
 from circnorm.circulant import to_dense
 from circnorm.errors import DenseBudgetExceeded
 from circnorm.spectral import DENSE_ORDER_LIMIT, _gram, run_method
@@ -110,7 +108,7 @@ class TestSpectralRadius:
 
 class TestSpectralNormPower:
     def test_lucas_frozen(self):
-        value, record = spectral_norm_power(from_sequence("lucas", 3), 1e-12, 10000)
+        value, record = spectral_norm_power(from_sequence("lucas", 3), 1e-12)
         assert value == pytest.approx(6.0, rel=1e-8)
         assert record.converged
 
@@ -152,7 +150,8 @@ class TestSpectralNormPower:
             spectral_norm_power(CirculantMatrix((1, 2)), rel_tol=0.0)
 
     def test_max_iter_exhaustion_flags_not_raises(self):
-        value, record = spectral_norm_power(CirculantMatrix((3, 1, 4)), max_iter=1)
+        # A residual of 1.9e-16 cannot certify 1e-300: flagged, not raised.
+        value, record = spectral_norm_power(CirculantMatrix((3, 1, 4)), rel_tol=1e-300)
         assert not record.converged
         assert record.iterations == 1
         assert value == pytest.approx(8.0, rel=1e-6)  # seed is the Perron direction
@@ -309,16 +308,24 @@ class TestCompareMethods:
         with pytest.raises(ValueError):
             compare_methods(CirculantMatrix((1,)), methods=("sum", "qr"))
 
-    def test_unconverged_power_is_noted(self, monkeypatch):
-        monkeypatch.setattr(
-            circnorm.spectral,
-            "spectral_norm_power",
-            functools.partial(spectral_norm_power, max_iter=1),
-        )
-        report = compare_methods(CirculantMatrix((3, 1, 4)))
+    def test_unconverged_power_is_noted(self):
+        report = compare_methods(CirculantMatrix((3, 1, 4)), rel_tol=1e-300)
         by_name = {r.method: r for r in report.methods}
-        assert by_name["power"].note is not None
-        assert "convergence" in by_name["power"].note
+        assert by_name["power"].note.startswith("no convergence: residual ")
+        assert by_name["power"].note.endswith(" exceeds 1.0e-299")
+
+    @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "methods", [("sum", "dft"), ("sum", "dft", "power")], ids=["no-power", "power"]
+    )
+    def test_rel_tol_must_be_positive(self, rel_tol, methods):
+        # The same rule whichever methods are asked for, before any of them runs.
+        matrix = from_sequence("fibonacci", 10)
+        with pytest.raises(ValueError, match="rel_tol must be positive"):
+            compare_methods(matrix, rel_tol=rel_tol, methods=methods)
+        if "power" in methods:
+            with pytest.raises(ValueError, match="rel_tol must be positive"):
+                spectral_norm_power(matrix, rel_tol=rel_tol)
 
     def test_sum_float_is_rounded_exact(self):
         report = compare_methods(from_sequence("lucas", 30), methods=("sum",))
@@ -397,11 +404,19 @@ class TestDenseOrderLimit:
 
 
 class TestDefaults:
-    def test_power_default_budget_tracks_order(self):
-        # Default cap is 50 n + 1000; a converged run never gets near it.
-        _, record = spectral_norm_power(from_sequence("perrin", 40))
-        assert record.converged
-        assert record.iterations < 50 * 40 + 1000
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-300])
+    @pytest.mark.parametrize("n", [1, 64, 384, 512])
+    @pytest.mark.parametrize(
+        "lo, hi", [(1, 2**10), (GRAM_SAFE_BOUND - 4096, GRAM_SAFE_BOUND)],
+        ids=["small", "near-guard"],
+    )
+    def test_power_takes_one_step(self, n, lo, hi, rel_tol):
+        # One step from the all-ones eigenvector, whatever the tolerance asks.
+        rng = np.random.default_rng([n, lo])
+        row = tuple(int(x) for x in rng.integers(lo, hi, size=n))
+        value, record = spectral_norm_power(CirculantMatrix(row), rel_tol=rel_tol)
+        assert record.iterations == 1
+        assert rel_close(value, float(sum(row)), 1e-8)
 
     def test_compare_default_tolerance(self):
         report = compare_methods(from_sequence("fibonacci", 8))
