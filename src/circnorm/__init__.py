@@ -2,12 +2,12 @@
 
 The library builds circ(t(0), ..., t(n-1)) from exact integer
 linear-recurrence sequences and computes the spectral norm three
-independent ways: the exact first-row sum, DFT diagonalization, and one
-step on the dense Gram from the all-ones eigenvector, certified by its
-residual (which does not prove that the zero-frequency eigenvalue
-dominates). The routes cross-validate each other, along with the
-classical partial-sum identities for the Fibonacci, Lucas, Pell and
-Perrin sequences.
+independent ways: the exact first-row sum, DFT diagonalization, and the
+square root of the row sum of the Gram A^T A, formed from its first row.
+That Gram is a nonnegative circulant whose rows all have the same sum,
+so the sum is its largest eigenvalue (Collatz-Wielandt). The routes
+cross-validate each other, along with the classical partial-sum
+identities for the Fibonacci, Lucas, Pell and Perrin sequences.
 
 Importing the package loads none of its submodules. Every public name
 is read, on each access, from the submodule whose __all__ lists it:

@@ -204,13 +204,13 @@ def _parse_methods(parser: argparse.ArgumentParser, text: str) -> list[str]:
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         parser.error("--methods must name at least one method")
-    if "all" in names:
-        return list(spectral.METHOD_NAMES)
-    bad = [m for m in names if m not in spectral.METHOD_NAMES]
+    bad = [m for m in names if m not in spectral.METHOD_NAMES + ("all",)]
     if bad:
         parser.error(
             f"unknown methods {bad}; choose from {list(spectral.METHOD_NAMES)} or 'all'"
         )
+    if "all" in names:
+        return list(spectral.METHOD_NAMES)
     return list(dict.fromkeys(names))
 
 
@@ -331,10 +331,7 @@ def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
     all_agree = True
     for n, matrix in zip(args.n, _circulants(seq, args.n)):
         timed = [
-            _timed(
-                lambda: spectral.run_method(matrix, method, rel_tol=args.rel_tol),
-                args.reps,
-            )
+            _timed(lambda: spectral.run_method(matrix, method), args.reps)
             for method in spectral.METHOD_NAMES
         ]
         report = spectral.norm_report(n, [r for _, r in timed], args.rel_tol)

@@ -5,9 +5,11 @@ spectral radius; with nonnegative entries the zero-frequency eigenvalue
 (the plain row sum) has the largest modulus by the triangle inequality.
 spectral_norm_sum returns that row sum exactly, while spectral_norm_dft
 and spectral_norm_power recompute the same number through diagonalization
-and through one step on the dense Gram from the all-ones eigenvector,
-certified by its residual (which does not prove that lambda_0
-dominates), so the three can be cross-checked against each other.
+and through the Gram G = A^T A, so the three can be cross-checked against
+each other. G is a nonnegative circulant, so every row of it sums to the
+sum s of its first row, and a nonnegative matrix whose row sums all equal
+s has spectral radius s (Collatz-Wielandt; Horn & Johnson, Matrix
+Analysis, 2nd ed., 8.1): lambda_max(G) = s, with a proof.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circulant import CirculantMatrix, _circulant, _exact_dtype, eigenvalues_dft
+from .circulant import CirculantMatrix, _exact_dtype, eigenvalues_dft
 from .circulant import to_dense  # unused here; circbench's tracer patches spectral.to_dense
 from .errors import DenseBudgetExceeded, PrecisionLoss
 
@@ -46,11 +48,9 @@ __all__ = [
 #: relative 2**-53, on conversion to float64.
 GRAM_SAFE_BOUND = 2**26
 
-#: Order budget for the power path, which holds one dense n x n array,
-#: the float64 Gram; its first row is formed from the matrix row alone.
-#: With entries below GRAM_SAFE_BOUND and n <= 2**9, n * max**2 < 2**61,
-#: so that row is formed in float64 or int64 and no Gram entry overflows.
-#: At n = 512 the Gram takes 2 MiB.
+#: Order limit for the power path. With entries below GRAM_SAFE_BOUND and
+#: n <= 2**9, n * max**2 < 2**61, so the Gram's first row, formed from the
+#: matrix row alone, fits float64 or int64 and no entry of it overflows.
 DENSE_ORDER_LIMIT = 512
 
 METHOD_NAMES = ("sum", "dft", "power")
@@ -77,57 +77,48 @@ spectral_radius = spectral_norm_dft
 
 
 def _gram(matrix: CirculantMatrix) -> np.ndarray:
-    """G = A^T A of A = to_dense(matrix) in float64, from its exact first row.
+    """First row g of G = A^T A, A = to_dense(matrix), in float64, from its exact form.
 
     G is itself a circulant, G[i, j] = g[(j - i) % n], and g = A[:, 0] @ A
     is the circular autocorrelation of the row c,
     g_k = sum_j c_j c_((j + k) % n). It is read off the row written out
     once and a half, in O(n**2), without building A. Each entry of g is
     one Gram entry, exact in _exact_dtype's dtype in any summation order,
-    and rounds once on conversion to float64, as every entry of the full
-    product A^T A would.
+    and rounds once on conversion to float64.
     """
     c = np.array(matrix.first_row, dtype=_exact_dtype(matrix))
     g = np.correlate(np.concatenate((c, c[:-1])), c, mode="valid")
-    return _circulant(g.astype(np.float64))
+    return g.astype(np.float64)
 
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """Outcome of the power route: step count, residual, flag."""
+    """Step count and flag of the power route (circbench's tracer reads both)."""
 
     iterations: int
-    residual: float
     converged: bool
 
 
-def spectral_norm_power(
-    matrix: CirculantMatrix, rel_tol: float = 1e-8
-) -> tuple[float, ConvergenceRecord]:
-    """Spectral norm as sqrt of the eigenvalue of G = A^T A at the all-ones vector.
+def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceRecord]:
+    """Spectral norm as sqrt(lambda_max(G)), G = A^T A, from the Gram's first row.
 
-    G is a circulant, so only its first row, the circular autocorrelation
-    of the matrix row, is multiplied out (see _gram), in O(n**2); the
-    float64 Gram is the one n x n array the route holds. That row is exact
-    in float64 or int64 (see circulant._exact_dtype), and converted to
-    float64, where an entry past 2**53 rounds once, to within relative
-    2**-53 (see GRAM_SAFE_BOUND).
+    G is a nonnegative circulant, so every row is a rotation of its first
+    row g and G 1 = (sum_k g_k) 1. A nonnegative matrix whose row sums all
+    equal s has spectral radius s (Collatz-Wielandt; Horn & Johnson,
+    Matrix Analysis, 2nd ed., 8.1), and G is symmetric positive
+    semidefinite, so lambda_max(G) = ||A||_2**2 = sum_k g_k exactly. The
+    route forms g (see _gram), in O(n**2) time and O(n) memory, and
+    returns sqrt(theta), theta the float64 sum of g. Each entry of g is
+    exact before it rounds once on conversion (see GRAM_SAFE_BOUND), and
+    the n nonnegative terms are summed in float64, so theta is within
+    relative n * 2**-52 of sum_k g_k (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 4.2). The record holds one iteration
+    (0 for the zero matrix) and converged = True.
 
-    The all-ones vector is an exact eigenvector of every circulant's Gram,
-    so the route takes one step from it, certified by its residual: with
-    v = 1/sqrt(n), w = G v and theta = v.w, G is symmetric, so some
-    eigenvalue of G lies within ||w - theta v|| of theta (Parlett, The
-    Symmetric Eigenvalue Problem, 1998, ch. 4). The record holds one
-    iteration and residual = ||w - theta v|| / theta, and converged is
-    residual <= 10 * rel_tol. This checks the exact Gram and its float64
-    conversion; it does not prove that lambda_0 dominates.
-
-    Raises ValueError unless rel_tol > 0, then PrecisionLoss when an
-    entry reaches 2**26, then DenseBudgetExceeded when the order passes
-    DENSE_ORDER_LIMIT. Within both, n * max**2 < 2**61.
+    Raises PrecisionLoss when an entry reaches 2**26, then
+    DenseBudgetExceeded when the order passes DENSE_ORDER_LIMIT. Within
+    both, n * max**2 < 2**61.
     """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
     n = matrix.order
     if matrix.max_entry >= GRAM_SAFE_BOUND:
         raise PrecisionLoss(
@@ -139,14 +130,8 @@ def spectral_norm_power(
             f"order {n} exceeds the dense power limit of {DENSE_ORDER_LIMIT}"
         )
     if matrix.max_entry == 0:
-        return 0.0, ConvergenceRecord(iterations=0, residual=0.0, converged=True)
-
-    v = np.full(n, 1.0 / math.sqrt(n))
-    w = _gram(matrix) @ v
-    theta = float(v @ w)
-    r = w - theta * v
-    residual = math.sqrt(r.dot(r)) / theta
-    return math.sqrt(theta), ConvergenceRecord(1, residual, residual <= 10 * rel_tol)
+        return 0.0, ConvergenceRecord(iterations=0, converged=True)
+    return math.sqrt(float(_gram(matrix).sum())), ConvergenceRecord(1, True)
 
 
 @dataclass(frozen=True)
@@ -170,19 +155,17 @@ class NormReport:
     agrees: bool
 
 
-def run_method(
-    matrix: CirculantMatrix, method: str, rel_tol: float = 1e-8
-) -> MethodResult:
+def run_method(matrix: CirculantMatrix, method: str) -> MethodResult:
     """Run one norm method on one matrix behind its entry guard.
 
     A method whose route raises PrecisionLoss (dft needs entries below
     2**53, power below 2**26) is skipped: its value is None and its note
     names the bound. So is power past DENSE_ORDER_LIMIT, whose note names
     that limit. The sum's float value is inf past the float64 range.
-    Power takes one step from the all-ones eigenvector, certified by its
-    residual (not a proof that lambda_0 dominates); a step whose residual
-    exceeds 10 * rel_tol keeps its value and says so in the note. Raises
-    ValueError for a method not in METHOD_NAMES.
+    Power is the square root of the Gram's row sum, which equals
+    lambda_max(A^T A) by Collatz-Wielandt (see spectral_norm_power), so it
+    carries no note when it runs. Raises ValueError for a method not in
+    METHOD_NAMES.
     """
     if method == "sum":
         exact = spectral_norm_sum(matrix)
@@ -196,7 +179,7 @@ def run_method(
     try:
         if method == "dft":
             return MethodResult("dft", spectral_norm_dft(matrix))
-        value, record = spectral_norm_power(matrix, rel_tol=rel_tol)
+        value, _ = spectral_norm_power(matrix)
     except PrecisionLoss:
         bound = "2**53" if method == "dft" else "2**26"
         return MethodResult(method, None, note=f"skipped: entries reach {bound}")
@@ -204,10 +187,7 @@ def run_method(
         return MethodResult(
             method, None, note=f"skipped: order exceeds {DENSE_ORDER_LIMIT}"
         )
-    note = None
-    if not record.converged:
-        note = f"no convergence: residual {record.residual:.1e} exceeds {10 * rel_tol:.1e}"
-    return MethodResult("power", value, note=note)
+    return MethodResult("power", value)
 
 
 def norm_report(
@@ -241,11 +221,11 @@ def compare_methods(
     """Run the requested norm methods and report their mutual agreement.
 
     Each method goes through run_method, so one whose entry guard is
-    violated is skipped and marked in its note instead of raising, as
-    is a power step, taken from the all-ones eigenvector, whose residual
-    does not certify it to rel_tol (the certificate does not prove that
-    lambda_0 dominates). norm_report then computes the pairwise gap and
-    the agrees flag. Duplicate method names run once; unknown ones, and
+    violated is skipped and marked in its note instead of raising. The
+    power value is sqrt of the Gram's row sum, lambda_max(A^T A) by
+    Collatz-Wielandt, so it differs from the exact sum only by float64
+    rounding. norm_report then computes the pairwise gap and the agrees
+    flag. Duplicate method names run once; unknown ones, and
     a rel_tol that is not positive, raise ValueError before anything runs.
     """
     if not rel_tol > 0:
@@ -254,5 +234,5 @@ def compare_methods(
     unknown = [m for m in wanted if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {METHOD_NAMES}")
-    results = [run_method(matrix, m, rel_tol=rel_tol) for m in wanted]
+    results = [run_method(matrix, m) for m in wanted]
     return norm_report(matrix.order, results, rel_tol)

@@ -192,7 +192,7 @@ class TestNormCommand:
             }
         ]
 
-    def test_tolerance_below_float64_resolution_is_noted(self, capsys):
+    def test_tolerance_below_float64_resolution_adds_no_note(self, capsys):
         code, out, _ = run_cli(
             capsys,
             "norm", "--id", "fibonacci", "--n", "30", "--methods", "power",
@@ -203,8 +203,7 @@ class TestNormCommand:
         assert doc["parameters"]["rel_tol"] == 1e-300
         (power,) = doc["results"]["methods"]
         assert power["value"] == pytest.approx(float(1346268), rel=1e-12)
-        assert power["note"].startswith("no convergence: residual ")
-        assert power["note"].endswith(" exceeds 1.0e-299")
+        assert power["note"] is None
 
     def test_negative_custom_reports_structured_error(self, capsys):
         code, out, _ = run_cli(
@@ -401,6 +400,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
         assert excinfo.value.code == 2
+
+    def test_unknown_method_beside_all(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["norm", "--id", "fibonacci", "--n", "4", "--methods", "all,nosuch"])
+        assert excinfo.value.code == 2
+        assert "unknown methods ['nosuch']" in capsys.readouterr().err
 
 
 # (command and its arguments after --id, expected parameter keys in order)

@@ -108,7 +108,7 @@ class TestSpectralRadius:
 
 class TestSpectralNormPower:
     def test_lucas_frozen(self):
-        value, record = spectral_norm_power(from_sequence("lucas", 3), 1e-12)
+        value, record = spectral_norm_power(from_sequence("lucas", 3))
         assert value == pytest.approx(6.0, rel=1e-8)
         assert record.converged
 
@@ -145,31 +145,19 @@ class TestSpectralNormPower:
         assert record.converged
         assert rel_close(value, float(sum(row)), 1e-8)
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            spectral_norm_power(CirculantMatrix((1, 2)), rel_tol=0.0)
-
-    def test_max_iter_exhaustion_flags_not_raises(self):
-        # A residual of 1.9e-16 cannot certify 1e-300: flagged, not raised.
-        value, record = spectral_norm_power(CirculantMatrix((3, 1, 4)), rel_tol=1e-300)
-        assert not record.converged
-        assert record.iterations == 1
-        assert value == pytest.approx(8.0, rel=1e-6)  # seed is the Perron direction
-
-    def test_residual_reported_small_on_convergence(self):
-        _, record = spectral_norm_power(CirculantMatrix((5, 2, 8, 1)))
-        assert record.residual <= 1e-7
-
 
 def assert_gram_exact(matrix):
-    """_gram equals the exact Gram rounded once, and the Gram of to_dense's row product."""
-    gram = _gram(matrix)
-    assert gram.dtype == np.float64
-    assert gram.tolist() == [[float(x) for x in r] for r in oracle_gram(matrix.first_row)]
+    """_gram is the exact Gram's first row rounded once, and every Gram row rotates it."""
+    g = _gram(matrix)
+    assert g.dtype == np.float64
+    exact = oracle_gram(matrix.first_row)
+    assert g.tolist() == [float(x) for x in exact[0]]
     dense = to_dense(matrix)
-    g = (dense[:, 0] @ dense).astype(np.float64)
-    shift = np.arange(matrix.order)
-    assert np.array_equal(gram, g[(shift - shift[:, None]) % matrix.order])
+    assert np.array_equal(g, (dense[:, 0] @ dense).astype(np.float64))
+    # Row i is the first row rotated by i, so every row sums to sum(g): the
+    # fact the power route rests on.
+    n = matrix.order
+    assert all(exact[i] == exact[0][n - i:] + exact[0][:n - i] for i in range(n))
 
 
 class TestGram:
@@ -220,7 +208,7 @@ class TestPowerMemory:
         ids=["small", "near-guard"],
     )
     def test_holds_one_dense_array(self, n, lo, hi):
-        # The float64 Gram is the only n x n array; the matrix itself is never built.
+        # O(n) bytes: neither the matrix nor its Gram is built, only rows of length n.
         rng = np.random.default_rng([n, lo])
         row = tuple(int(x) for x in rng.integers(lo, hi, size=n))
         matrix = CirculantMatrix(row)
@@ -231,7 +219,7 @@ class TestPowerMemory:
         finally:
             tracemalloc.stop()
         assert record.converged and rel_close(value, float(sum(row)), 1e-8)
-        assert peak < 1.5 * n * n * 8
+        assert peak < 16 * n * 8
 
 
 class TestNormDefinitionConsistency:
@@ -308,12 +296,6 @@ class TestCompareMethods:
         with pytest.raises(ValueError):
             compare_methods(CirculantMatrix((1,)), methods=("sum", "qr"))
 
-    def test_unconverged_power_is_noted(self):
-        report = compare_methods(CirculantMatrix((3, 1, 4)), rel_tol=1e-300)
-        by_name = {r.method: r for r in report.methods}
-        assert by_name["power"].note.startswith("no convergence: residual ")
-        assert by_name["power"].note.endswith(" exceeds 1.0e-299")
-
     @pytest.mark.parametrize("rel_tol", [math.nan, 0.0, -1.0])
     @pytest.mark.parametrize(
         "methods", [("sum", "dft"), ("sum", "dft", "power")], ids=["no-power", "power"]
@@ -323,9 +305,6 @@ class TestCompareMethods:
         matrix = from_sequence("fibonacci", 10)
         with pytest.raises(ValueError, match="rel_tol must be positive"):
             compare_methods(matrix, rel_tol=rel_tol, methods=methods)
-        if "power" in methods:
-            with pytest.raises(ValueError, match="rel_tol must be positive"):
-                spectral_norm_power(matrix, rel_tol=rel_tol)
 
     def test_sum_float_is_rounded_exact(self):
         report = compare_methods(from_sequence("lucas", 30), methods=("sum",))
@@ -411,12 +390,15 @@ class TestDefaults:
         ids=["small", "near-guard"],
     )
     def test_power_takes_one_step(self, n, lo, hi, rel_tol):
-        # One step from the all-ones eigenvector, whatever the tolerance asks.
+        # One step, the Gram's row sum, and no note whatever the tolerance asks.
         rng = np.random.default_rng([n, lo])
         row = tuple(int(x) for x in rng.integers(lo, hi, size=n))
-        value, record = spectral_norm_power(CirculantMatrix(row), rel_tol=rel_tol)
+        matrix = CirculantMatrix(row)
+        value, record = spectral_norm_power(matrix)
         assert record.iterations == 1
         assert rel_close(value, float(sum(row)), 1e-8)
+        (power,) = compare_methods(matrix, rel_tol=rel_tol, methods=("power",)).methods
+        assert power.value == value and power.note is None
 
     def test_compare_default_tolerance(self):
         report = compare_methods(from_sequence("fibonacci", 8))
