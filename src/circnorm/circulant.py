@@ -95,7 +95,7 @@ def from_sequence(seq: SequenceId, n: int) -> CirculantMatrix:
     can happen for custom recurrences; the four builtins are nonnegative
     everywhere.
     """
-    return CirculantMatrix(tuple(prefix(seq, n)))
+    return CirculantMatrix(prefix(seq, n))
 
 
 def _circulant(c: np.ndarray) -> np.ndarray:
@@ -172,7 +172,8 @@ def _require_exact_double(values, what: str) -> None:
 
 def _eigenvalue_array(matrix: CirculantMatrix) -> np.ndarray:
     # n * ifft realizes the positive-sign transform: lambda_k = sum_j c_j w^(jk).
-    c = np.asarray(matrix.first_row, dtype=np.float64)
+    # Callers check that entries are below 2**53, so int64 holds them exactly.
+    c = np.fromiter(matrix.first_row, np.int64, matrix.order)
     return matrix.order * np.fft.ifft(c)
 
 

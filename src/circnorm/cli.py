@@ -23,7 +23,6 @@ import argparse
 import csv
 import json
 import math
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -227,7 +226,7 @@ def _circulants(seq: sequences.SequenceId, orders: list[int]):
     """circ(t(0), ..., t(n-1)) for each n in orders, all sliced from one prefix."""
     from . import circulant
     terms = sequences.prefix(seq, max(orders))
-    return (circulant.CirculantMatrix(tuple(terms[:n])) for n in orders)
+    return (circulant.CirculantMatrix(terms[:n]) for n in orders)
 
 
 #: What each command hands main to wrap: (results, ok).
@@ -316,6 +315,7 @@ def cmd_verify(seq: str, args: argparse.Namespace) -> _Outcome:
 
 
 def _timed(func, reps: int) -> tuple[float, object]:
+    import statistics  # here, not at the top: only bench needs it, and it loads decimal
     times = []
     value = None
     for _ in range(reps):

@@ -7,7 +7,9 @@ All functions are pure and RecurrenceSpec is immutable, so values can
 be shared freely across threads.
 
 There are two ways to get terms. prefix lists t(0), ..., t(n-1) in one
-linear pass and is what circulant rows and direct sums are built from.
+linear pass and is what circulant rows and direct sums are built from;
+the pass is a chain of C-level iterators (islice, map) that reads the
+list as list.extend grows it, so no Python bytecode runs per term.
 term jumps straight to one index by polynomial exponentiation (C. M.
 Fiduccia, SIAM J. Comput. 14(1), 1985) in O(k**2 log n) multiplications,
 so closed_form_sum, which needs only a term or two, costs O(log n)
@@ -17,6 +19,8 @@ products rather than a walk from t(0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import add, mul
 from operator import index as _as_int
 from typing import Union
 
@@ -164,23 +168,34 @@ def term(seq: SequenceId, n: int) -> int:
 def prefix(seq: SequenceId, n: int) -> list[int]:
     """First n terms [t(0), ..., t(n-1)], generated in one linear pass.
 
-    Each new term costs one big-integer addition per nonzero coefficient
-    after the first (plus a multiplication where the coefficient is not 1).
+    The terms past the k initial ones come from one chain of C iterators
+    over the list itself: for each nonzero coefficient a_j,
+    islice(terms, k - j, None) yields t(i - j) for i = k, k + 1, ...,
+    wrapped in map(mul, repeat(a_j), ...) when a_j != 1; the taps are
+    joined by map(add, ...), and terms.extend appends the stream. This
+    relies on two things list does: extend appends the items of an
+    iterator one at a time, and a list iterator compares its index with
+    the list's current length, so each lag reads t(i - j), already in the
+    list when t(i) is asked for, and never runs off its end. Each new term
+    costs one big-integer addition per nonzero coefficient after the
+    first, plus a multiplication where the coefficient is not 1. With
+    every coefficient 0, the terms past the initial ones are 0.
     """
     if n < 1:
         raise ValueError("term count must be positive")
     spec = resolve(seq)
+    k = spec.order
     terms = list(spec.initial_terms[:n])
-    taps = [(j, a) for j, a in enumerate(spec.coefficients, start=1) if a]
-    if not taps:
-        return terms + [0] * (n - len(terms))
-    (j0, a0), rest = taps[0], taps[1:]
-    for _ in range(len(terms), n):
-        # Starting from the first tap, not from 0, saves one copy of a term.
-        total = terms[-j0] if a0 == 1 else a0 * terms[-j0]
-        for j, a in rest:
-            total += terms[-j] if a == 1 else a * terms[-j]
-        terms.append(total)
+    if n <= k:
+        return terms
+    stream = None
+    for j, a in enumerate(spec.coefficients, start=1):
+        if a:
+            lag = islice(terms, k - j, None)  # t(i - j) for i = k, k + 1, ...
+            if a != 1:
+                lag = map(mul, repeat(a), lag)
+            stream = lag if stream is None else map(add, stream, lag)
+    terms.extend(repeat(0, n - k) if stream is None else islice(stream, n - k))
     return terms
 
 
@@ -198,7 +213,7 @@ def _decimal(x: int) -> str:
     try:
         return str(x)
     except ValueError:  # Decimal is exact at any size and leaves the limit as it is
-        from decimal import Decimal  # here, so that import circnorm does not load it
+        from decimal import Decimal  # here, so neither import circnorm nor the CLI loads it
         return str(Decimal(x))
 
 

@@ -6,10 +6,12 @@ spectral radius; with nonnegative entries the zero-frequency eigenvalue
 spectral_norm_sum returns that row sum exactly, while spectral_norm_dft
 and spectral_norm_power recompute the same number through diagonalization
 and through the Gram G = A^T A, so the three can be cross-checked against
-each other. G is a nonnegative circulant, so every row of it sums to the
-sum s of its first row, and a nonnegative matrix whose row sums all equal
-s has spectral radius s (Collatz-Wielandt; Horn & Johnson, Matrix
-Analysis, 2nd ed., 8.1): lambda_max(G) = s, with a proof.
+each other. The dft route takes a real-input FFT of the row: the spectrum
+of a real row is conjugate-symmetric, so its n // 2 + 1 values hold the
+modulus of every eigenvalue. G is a nonnegative circulant, so every row
+of it sums to the sum s of its first row, and a nonnegative matrix whose
+row sums all equal s has spectral radius s (Collatz-Wielandt; Horn &
+Johnson, Matrix Analysis, 2nd ed., 8.1): lambda_max(G) = s, with a proof.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .circulant import CirculantMatrix, _exact_dtype, eigenvalues_dft
-from .circulant import to_dense  # unused here; circbench's tracer patches spectral.to_dense
+from .circulant import CirculantMatrix, _exact_dtype, _require_exact_double
+# Unused here; circbench's tracer patches spectral.to_dense and spectral.eigenvalues_dft.
+from .circulant import eigenvalues_dft, to_dense
 from .errors import DenseBudgetExceeded, PrecisionLoss
 
 __all__ = [
@@ -65,11 +68,19 @@ def spectral_norm_dft(matrix: CirculantMatrix) -> float:
     """Spectral norm via diagonalization: max_k |lambda_k| over the DFT eigenvalues.
 
     Norm equals spectral radius because a circulant is normal (it
-    commutes with its transpose). For nonnegative rows the maximum is
-    attained at k = 0, where the eigenvalue is real and equals the entry
-    sum. Raises PrecisionLoss when an entry reaches 2**53.
+    commutes with its transpose). The moduli come from a real-input FFT
+    of the row, of length exactly n: for a real row c, rfft(c)_k is
+    sum_j c_j exp(-2j*pi*jk/n) = conj(lambda_k) in the positive-sign
+    convention of circulant, for k = 0, ..., n // 2, and
+    lambda_(n-k) = conj(lambda_k). So those n // 2 + 1 values hold every
+    |lambda_k|, and no 1/n scaling is applied or undone. For nonnegative
+    rows the maximum is attained at k = 0, where the eigenvalue is real
+    and equals the entry sum. Raises PrecisionLoss when an entry reaches
+    2**53; below it the row converts to int64, then to float64, exactly.
     """
-    return float(np.abs(eigenvalues_dft(matrix).values).max())
+    _require_exact_double((matrix.max_entry,), "matrix entry")
+    c = np.fromiter(matrix.first_row, np.int64, matrix.order)
+    return float(np.abs(np.fft.rfft(c)).max())
 
 
 #: The same function under the name of what it computes.
@@ -86,7 +97,8 @@ def _gram(matrix: CirculantMatrix) -> np.ndarray:
     one Gram entry, exact in _exact_dtype's dtype in any summation order,
     and rounds once on conversion to float64.
     """
-    c = np.array(matrix.first_row, dtype=_exact_dtype(matrix))
+    c = np.fromiter(matrix.first_row, np.int64, matrix.order)  # entries below 2**26
+    c = c.astype(_exact_dtype(matrix), copy=False)
     g = np.correlate(np.concatenate((c, c[:-1])), c, mode="valid")
     return g.astype(np.float64)
 

@@ -23,15 +23,13 @@ from conftest import oracle_builtin, oracle_terms
 BUILTIN_NAMES = sorted(BUILTIN_SEQUENCES)
 
 
-def recurrence_specs(max_order=4, max_coeff=3, max_init=5):
+def recurrence_specs(max_order=4, max_coeff=3, max_init=5, coefficients=None):
     """Random custom recurrences with matching coefficient/init lengths."""
+    if coefficients is None:
+        coefficients = st.integers(min_value=-max_coeff, max_value=max_coeff)
     return st.integers(min_value=1, max_value=max_order).flatmap(
         lambda k: st.tuples(
-            st.lists(
-                st.integers(min_value=-max_coeff, max_value=max_coeff),
-                min_size=k,
-                max_size=k,
-            ),
+            st.lists(coefficients, min_size=k, max_size=k),
             st.lists(
                 st.integers(min_value=-max_init, max_value=max_init),
                 min_size=k,
@@ -136,6 +134,36 @@ class TestPrefix:
     @given(spec=recurrence_specs(), n=st.integers(min_value=1, max_value=100))
     def test_prefix_extends_custom(self, spec, n):
         assert prefix(spec, n) == prefix(spec, n + 1)[:n]
+
+    # Every count from 1 to 3k + 5 covers n <= k, where no term is computed,
+    # the first term the iterator chain makes, and the steady state after it.
+    @given(
+        spec=recurrence_specs(
+            max_order=6,
+            max_init=9,
+            coefficients=st.one_of(
+                st.just(0),
+                st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=2**63, max_value=2**70),
+                st.integers(min_value=-(2**70), max_value=-(2**63)),
+            ),
+        )
+    )
+    def test_every_count_matches_oracle(self, spec):
+        count = 3 * spec.order + 5
+        expected = oracle_terms(spec.coefficients, spec.initial_terms, count)
+        for n in range(1, count + 1):
+            assert prefix(spec, n) == expected[:n]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_all_zero_coefficients(self, k):
+        spec = RecurrenceSpec((0,) * k, tuple(range(3, 3 + k)))
+        for n in range(1, 3 * k + 6):
+            assert prefix(spec, n) == oracle_terms(spec.coefficients, spec.initial_terms, n)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_long_prefix(self, name):
+        assert prefix(name, 3000) == oracle_builtin(name, 3000)
 
 
 class TestRecurrenceConsistency:

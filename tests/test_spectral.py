@@ -22,7 +22,7 @@ from circnorm.circulant import to_dense
 from circnorm.errors import DenseBudgetExceeded
 from circnorm.spectral import DENSE_ORDER_LIMIT, _gram, run_method
 
-from conftest import oracle_builtin, oracle_dense, oracle_gram
+from conftest import oracle_builtin, oracle_dense, oracle_dft, oracle_gram
 
 
 def rel_close(a, b, rel):
@@ -68,6 +68,20 @@ class TestSpectralNormDFT:
     def test_guard(self):
         with pytest.raises(PrecisionLoss):
             spectral_norm_dft(CirculantMatrix((2**53, 1)))
+
+    # Odd and even orders both: the half spectrum ends at k = (n - 1) / 2 for
+    # odd n and at the real Nyquist value k = n / 2 for even n.
+    @pytest.mark.parametrize("n", range(1, 34))
+    def test_matches_full_spectrum_oracle(self, n):
+        rng = np.random.default_rng([20261019, n])
+        rows = [
+            tuple(int(x) for x in rng.integers(0, hi, size=n)) for hi in (2, 10**6, 2**52)
+        ]
+        spike = [0] * n
+        spike[int(rng.integers(0, n))] = 7  # one nonzero entry: all n moduli are 7
+        for row in rows + [tuple(spike)]:
+            expected = max(abs(lam) for lam in oracle_dft(row))
+            assert rel_close(spectral_norm_dft(CirculantMatrix(row)), expected, 1e-12)
 
 
 class TestSpectralRadius:
