@@ -50,22 +50,43 @@ class CirculantMatrix:
     """circ(c0, ..., c(n-1)) stored as its first row of nonnegative ints.
 
     max_entry is the largest entry, found once at construction; every guard
-    and to_dense compare it. Equality, hash and repr use first_row only.
+    and to_dense compare it. When every entry lies in [-2**63, 2**63), the
+    row is also converted once to an int64 array, from which the
+    nonnegativity check and max_entry are taken in C; the dft and power
+    routes and _eigenvalue_array read that array, each behind a guard that
+    keeps its entries below 2**53. It is read-only because every consumer
+    shares it. A row with an entry outside int64 holds no array, and is
+    checked by Python passes instead. Equality, hash and repr use
+    first_row only.
     """
 
     first_row: tuple[int, ...]
     max_entry: int = field(init=False, repr=False, compare=False)
+    _int64_row: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         row = tuple(map(_as_int, self.first_row))
         object.__setattr__(self, "first_row", row)
         if not row:
             raise ValueError("circulant matrix needs at least one entry")
-        if min(row) < 0:
+        array = None
+        # Recurrence rows grow, so a last entry outside int64 skips the attempt.
+        if -(2**63) <= row[-1] < 2**63:
+            try:
+                array = np.fromiter(row, np.int64, len(row))
+            except OverflowError:
+                pass
+        if array is None:
+            low, high = min(row), max(row)
+        else:
+            array.flags.writeable = False
+            low, high = array.min(), int(array.max())
+        if low < 0:
             i = next(i for i, c in enumerate(row) if c < 0)
             bits = row[i].bit_length()  # past 4300 digits an int has no str()
             raise NegativeEntry(f"first row entry at index {i} is negative, of {bits} bits")
-        object.__setattr__(self, "max_entry", max(row))
+        object.__setattr__(self, "max_entry", high)
+        object.__setattr__(self, "_int64_row", array)
 
     @property
     def order(self) -> int:
@@ -172,9 +193,8 @@ def _require_exact_double(values, what: str) -> None:
 
 def _eigenvalue_array(matrix: CirculantMatrix) -> np.ndarray:
     # n * ifft realizes the positive-sign transform: lambda_k = sum_j c_j w^(jk).
-    # Callers check that entries are below 2**53, so int64 holds them exactly.
-    c = np.fromiter(matrix.first_row, np.int64, matrix.order)
-    return matrix.order * np.fft.ifft(c)
+    # Callers check that entries are below 2**53, so the matrix holds its int64 row.
+    return matrix.order * np.fft.ifft(matrix._int64_row)
 
 
 def matvec_fft(matrix: CirculantMatrix, vector: Sequence[float]) -> np.ndarray:

@@ -26,7 +26,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
 
 from . import sequences
 from .errors import CircnormError
@@ -54,7 +53,8 @@ class OutputRecord:
             payload["results"] = self.results
         if self.error is not None:
             payload["error"] = self.error
-        return json.dumps(payload, indent=2, allow_nan=False)
+        # Every payload is a fresh tree of dicts, lists and scalars: no cycle to catch.
+        return json.dumps(payload, indent=2, allow_nan=False, check_circular=False)
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -69,6 +69,8 @@ class OutputRecord:
 
 def load_output_schema() -> dict:
     """The checked-in JSON schema every JSON output document conforms to."""
+    from importlib import resources  # local: no command reads the schema
+
     text = (
         resources.files("circnorm")
         .joinpath("schemas/output_record.schema.json")
@@ -78,14 +80,19 @@ def load_output_schema() -> dict:
 
 
 def parse_spec(text: str) -> sequences.RecurrenceSpec:
-    """Parse a custom recurrence, 'k=<order>;coef=<a1,...,ak>;init=<t0,...,tk-1>'."""
+    """Parse a custom recurrence, 'k=<order>;coef=<a1,...,ak>;init=<t0,...,tk-1>'.
+
+    Each integer is ASCII: a sign, decimal digits 0-9 with single
+    underscores between them, and surrounding ASCII whitespace. Anything
+    else, non-ASCII digits and spaces included, raises ValueError.
+    """
     fields: dict[str, str] = {}
     for part in text.split(";"):
         key, sep, value = part.partition("=")
-        key = key.strip()
+        key = key.strip(" \t\n\r\f\v")  # str.strip() would also drop non-ASCII spaces
         if not sep or key in fields:
             raise ValueError(f"bad custom spec fragment {part!r}")
-        fields[key] = value.strip()
+        fields[key] = value
     if set(fields) != {"k", "coef", "init"}:
         raise ValueError("custom spec needs exactly the fields k, coef and init")
     try:

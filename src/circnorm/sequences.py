@@ -218,12 +218,17 @@ def _decimal(x: int) -> str:
 
 
 def _from_decimal(text: str) -> int:
-    """int(text), also past int()'s limit on decimal digits (4300 by default)."""
+    """int(text) for ASCII text, also past int()'s limit on decimal digits (4300 by default).
+
+    int() also reads non-ASCII digits and whitespace; they raise ValueError here.
+    """
+    if not text.isascii():
+        raise ValueError(f"non-ASCII characters in {text!r}")
     try:
         return int(text)
     except ValueError:
         import re  # local, as Decimal is: only this fallback needs them
-        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
+        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text, re.ASCII):
             raise
         from decimal import Decimal  # exact at any size; leaves the limit as it is
         return int(Decimal(text))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -76,11 +75,11 @@ def spectral_norm_dft(matrix: CirculantMatrix) -> float:
     |lambda_k|, and no 1/n scaling is applied or undone. For nonnegative
     rows the maximum is attained at k = 0, where the eigenvalue is real
     and equals the entry sum. Raises PrecisionLoss when an entry reaches
-    2**53; below it the row converts to int64, then to float64, exactly.
+    2**53; below it the transform reads the matrix's int64 row (converted
+    once, at construction), which converts to float64 exactly.
     """
     _require_exact_double((matrix.max_entry,), "matrix entry")
-    c = np.fromiter(matrix.first_row, np.int64, matrix.order)
-    return float(np.abs(np.fft.rfft(c)).max())
+    return float(np.abs(np.fft.rfft(matrix._int64_row)).max())
 
 
 #: The same function under the name of what it computes.
@@ -93,14 +92,15 @@ def _gram(matrix: CirculantMatrix) -> np.ndarray:
     G is itself a circulant, G[i, j] = g[(j - i) % n], and g = A[:, 0] @ A
     is the circular autocorrelation of the row c,
     g_k = sum_j c_j c_((j + k) % n). It is read off the row written out
-    once and a half, in O(n**2), without building A. Each entry of g is
-    one Gram entry, exact in _exact_dtype's dtype in any summation order,
-    and rounds once on conversion to float64.
+    once and a half, in O(n**2), without building A. The row is the
+    matrix's int64 row (converted once, at construction; callers keep
+    entries below 2**26), cast to _exact_dtype's dtype unless it is int64.
+    Each entry of g is one Gram entry, exact in that dtype in any summation
+    order, and rounds once on conversion to float64.
     """
-    c = np.fromiter(matrix.first_row, np.int64, matrix.order)  # entries below 2**26
-    c = c.astype(_exact_dtype(matrix), copy=False)
+    c = matrix._int64_row.astype(_exact_dtype(matrix), copy=False)
     g = np.correlate(np.concatenate((c, c[:-1])), c, mode="valid")
-    return g.astype(np.float64)
+    return g.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,11 @@ class ConvergenceRecord:
 
     iterations: int
     converged: bool
+
+
+# Every call returns one of these: the route takes one step, or none for the zero row.
+_ONE_STEP = ConvergenceRecord(iterations=1, converged=True)
+_NO_STEP = ConvergenceRecord(iterations=0, converged=True)
 
 
 def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceRecord]:
@@ -142,8 +147,8 @@ def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceReco
             f"order {n} exceeds the dense power limit of {DENSE_ORDER_LIMIT}"
         )
     if matrix.max_entry == 0:
-        return 0.0, ConvergenceRecord(iterations=0, converged=True)
-    return math.sqrt(float(_gram(matrix).sum())), ConvergenceRecord(1, True)
+        return 0.0, _NO_STEP
+    return math.sqrt(float(_gram(matrix).sum())), _ONE_STEP
 
 
 @dataclass(frozen=True)
@@ -207,15 +212,20 @@ def norm_report(
 ) -> NormReport:
     """Cross-check the values of results against each other.
 
-    Skipped methods (value None) take no part. The pairwise gap divides
-    by max(values, 1), so the all-zero matrix agrees trivially, and
-    agrees is gap <= rel_tol.
+    Skipped methods (value None) take no part. The gap is the largest
+    pairwise |a - b|, divided by max(values, 1), so the all-zero matrix
+    agrees trivially, and agrees is gap <= rel_tol. The largest pairwise
+    difference is max(values) - min(values): for a >= b >= c exactly
+    a - c >= a - b, and float64 rounding is monotone, so the rounded
+    max - min is never below any rounded pairwise difference. The two
+    forms differ only when two or more values are infinite (inf - inf is
+    nan), which no report holds: only the sum route's value can be inf.
     """
     values = [r.value for r in results if r.value is not None]
     gap = 0.0
     if len(values) >= 2:
         denom = max(max(values), 1.0)
-        gap = max(abs(a - b) for a, b in combinations(values, 2)) / denom
+        gap = (max(values) - min(values)) / denom
     return NormReport(
         order=order,
         methods=tuple(results),

@@ -66,6 +66,8 @@ class TestCirculantMatrix:
             (2**64 + 5, 1, 2**63),
             (1, 10**400, 0),
             (0, 0, 0),
+            (1, 2**63 - 1),
+            (2**63, 1),
         ],
     )
     def test_max_entry_is_largest_entry(self, row):
@@ -79,10 +81,52 @@ class TestCirculantMatrix:
         assert a != CirculantMatrix((3, 2, 0))
         assert repr(a) == "CirculantMatrix(first_row=(3, 0, 2))"
 
+    @pytest.mark.parametrize(
+        "row, index, bits",
+        [
+            ((1, -5, 2), 1, 3),  # int64 row: the check runs on the array
+            ((1, 2, -(2**63)), 2, 64),  # the smallest int64
+            ((1, -(2**63) - 1, 5), 1, 64),  # past int64, small last entry: Python passes
+            ((3, -(10**400), 0, -1), 1, 1329),
+        ],
+    )
+    def test_negative_message_same_on_both_paths(self, row, index, bits):
+        message = f"^first row entry at index {index} is negative, of {bits} bits$"
+        with pytest.raises(NegativeEntry, match=message):
+            CirculantMatrix(row)
+
     def test_guard_reports_largest_entry(self):
         # The bit count is the largest entry's, wherever it sits in the row.
         with pytest.raises(PrecisionLoss, match=r"^matrix entry of 55 bits; "):
             eigenvalues_dft(CirculantMatrix((2**53, 1, 2**54)))
+
+
+class TestInt64Row:
+    """The int64 copy of the row that the dft and power routes share."""
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=64))
+    def test_equals_row_read_only(self, row):
+        array = CirculantMatrix(row)._int64_row
+        assert array.dtype == np.int64
+        assert array.tolist() == row
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+    @pytest.mark.parametrize(
+        "row, exists",
+        [
+            ((0, 2**63 - 1), True),
+            ((2**63 - 1, 7, 0), True),
+            ((1, 2**63), False),  # last entry past int64: no attempt
+            ((2**63, 1), False),  # partial conversion, then the fallback
+            (tuple(np.array([2**63, 1], dtype=np.uint64)), False),
+            ((1, 10**400, 0), False),
+            ((5,), True),
+        ],
+    )
+    def test_exists_exactly_within_int64(self, row, exists):
+        assert (CirculantMatrix(row)._int64_row is not None) is exists
 
 
 class TestFromSequence:

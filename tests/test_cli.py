@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 import circnorm.circulant
 import circnorm.sequences
@@ -499,6 +501,21 @@ class TestOutputRecord:
             )
 
 
+def _spec_text(coef, init, k):
+    k = len(coef) if k is None else k
+    return f"k={k};coef={','.join(coef)};init={','.join(init)}"
+
+
+_spec_fields = st.lists(
+    st.integers(-(10**6), 10**6).map(str)
+    | st.sampled_from(["", "x", "1_0", "+3", " 7 ", "\u0967", "\u0661", "\U0001d7d7", "\u00a01", "1\u2003"]),
+    min_size=1,
+    max_size=3,
+)
+#: Specs near the grammar: signed integers, underscores, spaces, non-ASCII digits and spaces.
+spec_texts = st.builds(_spec_text, _spec_fields, _spec_fields, st.none() | _spec_fields.map(",".join))
+
+
 class TestParseSpec:
     def test_valid(self):
         spec = parse_spec("k=3;coef=0,1,1;init=3,0,2")
@@ -533,6 +550,47 @@ class TestParseSpec:
     def test_non_integer_field_past_4300_digits(self, field):
         with pytest.raises(ValueError, match="non-integer field"):
             parse_spec(f"k=1;coef=1;init={field}")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k=\u0967;coef=1;init=1",  # Devanagari one
+            "k=1;coef=\u0661;init=1",  # Arabic-Indic one
+            "k=1;coef=1;init=\U0001d7d7",  # mathematical bold nine
+            "k=1;coef=1;init=\u00a01",  # no-break space
+            "k=1;coef=1,\u20031;init=1",  # em space
+        ],
+    )
+    def test_non_ascii_field_rejected(self, text):
+        with pytest.raises(ValueError, match="non-integer field"):
+            parse_spec(text)
+
+    @given(st.text() | spec_texts)
+    def test_any_text_parses_or_is_a_usage_error(self, text):
+        try:
+            spec = parse_spec(text)
+        except ValueError:
+            spec = None
+        assert spec is None or isinstance(spec, circnorm.sequences.RecurrenceSpec)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["seq", "--id", "custom", "--spec", text, "--n", "3"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code == (2 if spec is None else 0)
+
+    @pytest.mark.parametrize(
+        "spec, exact", [("k=1;coef=1;init=5", "20"), ("k=2;coef=0,0;init=0,0", "0")]
+    )
+    def test_order_one_and_all_zero_rows_through_norm(self, capsys, spec, exact):
+        code, out, _ = run_cli(capsys, "norm", "--id", "custom", "--spec", spec, "--n", "4")
+        assert code == 0
+        results = parse_record(out)["results"]
+        by_name = {m["method"]: m for m in results["methods"]}
+        assert by_name["sum"]["exact_value"] == exact
+        assert by_name["dft"]["value"] == by_name["power"]["value"] == float(exact)
+        assert results["agrees"] is True
 
     def test_fields_past_4300_digits(self):
         spec = parse_spec("k=2; coef=1,-1_" + "0" * 4400 + "; init= 7" + "0" * 5000 + " ,1")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -20,7 +21,7 @@ from circnorm import (
 
 from circnorm.circulant import to_dense
 from circnorm.errors import DenseBudgetExceeded
-from circnorm.spectral import DENSE_ORDER_LIMIT, _gram, run_method
+from circnorm.spectral import DENSE_ORDER_LIMIT, MethodResult, _gram, norm_report, run_method
 
 from conftest import oracle_builtin, oracle_dense, oracle_dft, oracle_gram
 
@@ -328,6 +329,41 @@ class TestCompareMethods:
     def test_report_is_deterministic(self):
         matrix = from_sequence("pell", 12)
         assert compare_methods(matrix) == compare_methods(matrix)
+
+
+class TestNormReportGap:
+    @given(
+        st.lists(
+            st.floats(min_value=0, allow_nan=False, allow_infinity=False), max_size=3
+        ),
+        st.none() | st.integers(min_value=0, max_value=3),
+    )
+    def test_equals_largest_pairwise_gap(self, finite, inf_at):
+        values = list(finite)
+        if inf_at is not None:
+            values.insert(inf_at, math.inf)
+        results = [MethodResult("sum", v) for v in values] + [MethodResult("dft", None)]
+        gap = norm_report(len(values), results, 1e-8).max_pairwise_relative_gap
+        expected = 0.0
+        if len(values) >= 2:
+            pairwise = max(abs(a - b) for a, b in itertools.combinations(values, 2))
+            expected = pairwise / max(max(values), 1.0)
+        assert gap == expected or (math.isnan(gap) and math.isnan(expected))
+
+
+class TestSharedRow:
+    @pytest.mark.parametrize(
+        "row",
+        [(3, 1, 4, 1, 5), (2**26 - 1,) * 40, tuple(range(2**20, 2**20 + 300))],
+        ids=["float64-gram", "int64-gram", "float64-order-300"],
+    )
+    def test_routes_leave_it_unchanged(self, row):
+        matrix = CirculantMatrix(row)
+        report = compare_methods(matrix)
+        assert report.agrees
+        assert [r.value is not None for r in report.methods] == [True, True, True]
+        assert matrix._int64_row.tolist() == list(row)
+        assert not matrix._int64_row.flags.writeable
 
 
 class TestRunMethod:
