@@ -11,7 +11,8 @@ Diagnostics go to stderr. Exact integers are serialized as decimal
 strings, at any size, so they survive JSON consumers that parse numbers
 as float64. Only the functions that build matrices or norms import the
 numpy-backed circulant and spectral modules, so seq, --help and usage
-errors run without numpy.
+errors run without numpy, except a bad --methods, which reads
+spectral.METHOD_NAMES.
 
 Exit codes: 0 success / all checks agree, 1 verification or computation
 failure, 2 usage error.

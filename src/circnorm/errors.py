@@ -31,4 +31,4 @@ class PrecisionLoss(CircnormError):
 
 
 class DenseBudgetExceeded(CircnormError):
-    """A dense n x n route was asked for an order past its fixed budget."""
+    """An order past the power route's limit, which keeps n * max**2 < 2**61 and O(n**2) time."""

@@ -8,10 +8,7 @@ and spectral_norm_power recompute the same number through diagonalization
 and through the Gram G = A^T A, so the three can be cross-checked against
 each other. The dft route takes a real-input FFT of the row: the spectrum
 of a real row is conjugate-symmetric, so its n // 2 + 1 values hold the
-modulus of every eigenvalue. G is a nonnegative circulant, so every row
-of it sums to the sum s of its first row, and a nonnegative matrix whose
-row sums all equal s has spectral radius s (Collatz-Wielandt; Horn &
-Johnson, Matrix Analysis, 2nd ed., 8.1): lambda_max(G) = s, with a proof.
+modulus of every eigenvalue.
 """
 
 from __future__ import annotations
@@ -179,10 +176,8 @@ def run_method(matrix: CirculantMatrix, method: str) -> MethodResult:
     2**53, power below 2**26) is skipped: its value is None and its note
     names the bound. So is power past DENSE_ORDER_LIMIT, whose note names
     that limit. The sum's float value is inf past the float64 range.
-    Power is the square root of the Gram's row sum, which equals
-    lambda_max(A^T A) by Collatz-Wielandt (see spectral_norm_power), so it
-    carries no note when it runs. Raises ValueError for a method not in
-    METHOD_NAMES.
+    Power carries no note when it runs. Raises ValueError for a method not
+    in METHOD_NAMES.
     """
     if method == "sum":
         exact = spectral_norm_sum(matrix)
@@ -244,11 +239,12 @@ def compare_methods(
 
     Each method goes through run_method, so one whose entry guard is
     violated is skipped and marked in its note instead of raising. The
-    power value is sqrt of the Gram's row sum, lambda_max(A^T A) by
-    Collatz-Wielandt, so it differs from the exact sum only by float64
-    rounding. norm_report then computes the pairwise gap and the agrees
-    flag. Duplicate method names run once; unknown ones, and
-    a rel_tol that is not positive, raise ValueError before anything runs.
+    Gram's first row g sums to (sum c)**2, each product c_i c_j falling in
+    exactly one lag, so power checks _gram only up to that total; TestGram
+    (tests/test_spectral.py) checks g itself against the exact Gram.
+    norm_report then computes the pairwise gap and the agrees flag.
+    Duplicate method names run once; unknown ones, and a rel_tol that is
+    not positive, raise ValueError before anything runs.
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")

@@ -31,6 +31,13 @@ def assert_componentwise_close(got, exact, rel=1e-10, floor=1e-12):
         assert abs(g - float(e)) <= rel * scale
 
 
+def assert_within_row_scale(got, exact, row, vector, rel=1e-10):
+    """Per-component gap against sum(row) * max|v|, a bound on every exact component."""
+    scale = sum(row) * max(abs(x) for x in vector)
+    for g, e in zip(got, exact):
+        assert abs(g - float(e)) <= rel * scale
+
+
 class TestCirculantMatrix:
     def test_order_and_row(self):
         m = CirculantMatrix((3, 0, 2))
@@ -102,9 +109,13 @@ class TestCirculantMatrix:
 
 
 class TestInt64Row:
-    """The int64 copy of the row that the dft and power routes share."""
+    """The int64 copy of the row that the dft and power routes share.
 
-    @given(st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=64))
+    It is made when the last entry is below 2**53, the bound behind which
+    every reader of it sits, and every entry fits int64.
+    """
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**53 - 1), min_size=1, max_size=64))
     def test_equals_row_read_only(self, row):
         array = CirculantMatrix(row)._int64_row
         assert array.dtype == np.int64
@@ -116,13 +127,15 @@ class TestInt64Row:
     @pytest.mark.parametrize(
         "row, exists",
         [
-            ((0, 2**63 - 1), True),
-            ((2**63 - 1, 7, 0), True),
-            ((1, 2**63), False),  # last entry past int64: no attempt
+            ((0, 2**53 - 1), True),
+            ((2**63 - 1, 7, 0), True),  # a large early entry, small last entry
+            ((0, 2**53), False),  # last entry at the readers' bound: no attempt
+            ((0, 2**63 - 1), False),
             ((2**63, 1), False),  # partial conversion, then the fallback
-            (tuple(np.array([2**63, 1], dtype=np.uint64)), False),
             ((1, 10**400, 0), False),
             ((5,), True),
+            ((1, 2**63), False),
+            (tuple(np.array([2**63, 1], dtype=np.uint64)), False),
         ],
     )
     def test_exists_exactly_within_int64(self, row, exists):
@@ -313,6 +326,32 @@ class TestMatvecFFT:
         )
         exact = matvec_naive(CirculantMatrix(tuple(row)), v)
         assert_componentwise_close(matvec_fft(CirculantMatrix(tuple(row)), v), exact)
+
+    def test_alternating_vector_on_flat_row(self):
+        row, v = (2**52 - 1,) * 7, [1, -1, 1, -1, 1, -1, 0]
+        exact = matvec_naive(CirculantMatrix(row), v)
+        assert exact == [0] * 7
+        got = matvec_fft(CirculantMatrix(row), v)
+        assert max(abs(got)) > 1e-12  # past any bound relative to the largest exact component
+        assert_within_row_scale(got, exact, row, v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        row=st.lists(st.integers(min_value=0, max_value=2**52), min_size=2, max_size=64),
+        data=st.data(),
+    )
+    def test_cancelling_vectors(self, row, data):
+        v = data.draw(
+            st.lists(
+                st.integers(min_value=-(2**51), max_value=2**51),
+                min_size=len(row) - 1,
+                max_size=len(row) - 1,
+            )
+        )
+        v.append(-sum(v) if abs(sum(v)) < 2**53 else 0)  # the vector sums to about 0
+        exact = matvec_naive(CirculantMatrix(tuple(row)), v)
+        got = matvec_fft(CirculantMatrix(tuple(row)), v)
+        assert_within_row_scale(got, exact, row, v)
 
 
 class TestEigenvaluesDFT:

@@ -365,6 +365,20 @@ class TestSharedRow:
         assert matrix._int64_row.tolist() == list(row)
         assert not matrix._int64_row.flags.writeable
 
+    def test_held_up_to_the_dft_bound(self):
+        # F(78) < 2**53 <= F(79): order 79 holds the row and runs dft, order 80 does neither.
+        below, at = from_sequence("fibonacci", 79), from_sequence("fibonacci", 80)
+        assert below._int64_row is not None and at._int64_row is None
+        assert compare_methods(below, methods=("sum", "dft")).agrees
+        total = sum(oracle_builtin("fibonacci", 80))
+        report = compare_methods(at)
+        assert [(r.method, r.value, r.exact_value, r.note) for r in report.methods] == [
+            ("sum", float(total), total, None),
+            ("dft", None, None, "skipped: entries reach 2**53"),
+            ("power", None, None, "skipped: entries reach 2**26"),
+        ]
+        assert report.max_pairwise_relative_gap == 0.0 and report.agrees
+
 
 class TestRunMethod:
     @pytest.mark.parametrize(
