@@ -11,8 +11,8 @@ Diagnostics go to stderr. Exact integers are serialized as decimal
 strings, at any size, so they survive JSON consumers that parse numbers
 as float64. Only the functions that build matrices or norms import the
 numpy-backed circulant and spectral modules, so seq, --help and usage
-errors run without numpy, except a bad --methods, which reads
-spectral.METHOD_NAMES.
+errors run without numpy. Of the usage errors, only an unknown --methods
+name loads it, since the names are checked against spectral.METHOD_NAMES.
 
 Exit codes: 0 success / all checks agree, 1 verification or computation
 failure, 2 usage error.
@@ -39,8 +39,7 @@ __all__ = ["OutputRecord", "load_output_schema", "parse_spec", "build_parser", "
 class OutputRecord:
     """One machine-readable CLI result: command, parameters, payload.
 
-    Exactly one of results/error is set. to_json/from_json round-trip:
-    OutputRecord.from_json(record.to_json()) == record.
+    Exactly one of results/error is set.
     """
 
     command: str
@@ -56,16 +55,6 @@ class OutputRecord:
             payload["error"] = self.error
         # Every payload is a fresh tree of dicts, lists and scalars: no cycle to catch.
         return json.dumps(payload, indent=2, allow_nan=False, check_circular=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            parameters=data["parameters"],
-            results=data.get("results"),
-            error=data.get("error"),
-        )
 
 
 def load_output_schema() -> dict:
@@ -207,10 +196,10 @@ def _sequence_from_args(
 
 
 def _parse_methods(parser: argparse.ArgumentParser, text: str) -> list[str]:
-    from . import spectral
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         parser.error("--methods must name at least one method")
+    from . import spectral
     bad = [m for m in names if m not in spectral.METHOD_NAMES + ("all",)]
     if bad:
         parser.error(
@@ -301,7 +290,7 @@ def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[
         "sequence": name,
         "checks": n_max,
         "closed_form_matches": sum(row["closed_form_matches"] for row in rows),
-        "published_matches": sum(row["published_matches"] for row in rows),
+        "published_matches": audit.match_count,
         "norm_agreements": sum(row["norm_agrees"] for row in rows),
         "findings": findings,
     }

@@ -108,9 +108,8 @@ class ConvergenceRecord:
     converged: bool
 
 
-# Every call returns one of these: the route takes one step, or none for the zero row.
+# Every call returns this record: the route takes one step.
 _ONE_STEP = ConvergenceRecord(iterations=1, converged=True)
-_NO_STEP = ConvergenceRecord(iterations=0, converged=True)
 
 
 def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceRecord]:
@@ -127,7 +126,7 @@ def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceReco
     the n nonnegative terms are summed in float64, so theta is within
     relative n * 2**-52 of sum_k g_k (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., 4.2). The record holds one iteration
-    (0 for the zero matrix) and converged = True.
+    and converged = True.
 
     Raises PrecisionLoss when an entry reaches 2**26, then
     DenseBudgetExceeded when the order passes DENSE_ORDER_LIMIT. Within
@@ -143,8 +142,6 @@ def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceReco
         raise DenseBudgetExceeded(
             f"order {n} exceeds the dense power limit of {DENSE_ORDER_LIMIT}"
         )
-    if matrix.max_entry == 0:
-        return 0.0, _NO_STEP
     return math.sqrt(float(_gram(matrix).sum())), _ONE_STEP
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 import circnorm.circulant
 import circnorm.sequences
 import circnorm.spectral
-from circnorm.cli import OutputRecord, load_output_schema, main, parse_spec
+from circnorm.cli import load_output_schema, main, parse_spec
 
 SCHEMA = load_output_schema()
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -479,19 +479,6 @@ class TestEnvelope:
 
 
 class TestOutputRecord:
-    def test_round_trip_results(self, capsys):
-        _, out, _ = run_cli(capsys, "seq", "--id", "pell", "--n", "6", "--sum")
-        record = OutputRecord.from_json(out)
-        assert OutputRecord.from_json(record.to_json()) == record
-
-    def test_round_trip_error(self):
-        record = OutputRecord(
-            "norm",
-            {"id": "custom", "n": 2},
-            error={"type": "NegativeEntry", "message": "entry -1"},
-        )
-        assert OutputRecord.from_json(record.to_json()) == record
-
     def test_schema_rejects_malformed(self):
         with pytest.raises(jsonschema.ValidationError):
             VALIDATOR.validate({"command": "seq", "parameters": {}})

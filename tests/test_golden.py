@@ -40,6 +40,8 @@ CASES = [
                                      "k=1;coef=10;init=1", "--n", "400"]),
     ("norm-custom-negative", 1, ["norm", "--id", "custom", "--spec",
                                  "k=1;coef=-1;init=1", "--n", "2"]),
+    ("norm-custom-zero-row", 0, ["norm", "--id", "custom", "--spec",
+                                 "k=1;coef=0;init=0", "--n", "3"]),
     ("verify-perrin", 0, ["verify", "--id", "perrin", "--n-max", "30"]),
     ("verify-all-csv", 0, ["verify", "--id", "all", "--n-max", "140", "--format", "csv"]),
     ("bench-lucas-unsorted", 0, ["bench", "--id", "lucas", "--n", "64,8,1", "--reps", "1"]),

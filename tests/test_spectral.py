@@ -140,7 +140,7 @@ class TestSpectralNormPower:
         value, record = spectral_norm_power(CirculantMatrix((0, 0, 0)))
         assert value == 0.0
         assert record.converged
-        assert record.iterations == 0
+        assert record.iterations == 1
 
     def test_entry_guard(self):
         with pytest.raises(
@@ -450,8 +450,8 @@ class TestDefaults:
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-300])
     @pytest.mark.parametrize("n", [1, 64, 384, 512])
     @pytest.mark.parametrize(
-        "lo, hi", [(1, 2**10), (GRAM_SAFE_BOUND - 4096, GRAM_SAFE_BOUND)],
-        ids=["small", "near-guard"],
+        "lo, hi", [(1, 2**10), (GRAM_SAFE_BOUND - 4096, GRAM_SAFE_BOUND), (0, 1)],
+        ids=["small", "near-guard", "zero"],
     )
     def test_power_takes_one_step(self, n, lo, hi, rel_tol):
         # One step, the Gram's row sum, and no note whatever the tolerance asks.
