@@ -49,14 +49,20 @@ EXACT_DOUBLE_BOUND = 2**53
 class CirculantMatrix:
     """circ(c0, ..., c(n-1)) stored as its first row of nonnegative ints.
 
-    max_entry is the largest entry, found once at construction; every guard
-    and to_dense compare it. When the last entry is below 2**53 (the dft
-    guard, so every reader of the array is behind it), the row is also
-    converted once to a read-only int64 array, which the dft and power
-    routes and eigenvalues_dft share, and the nonnegativity check and
-    max_entry are taken from it in C. A row with no array (its last entry
-    reaches 2**53, or an entry lies outside int64) is checked by Python
-    passes instead. Equality, hash and repr use first_row only.
+    The constructor maps each entry through operator.index, so numpy ints
+    and bools become ints and floats raise TypeError. Rows that prefix
+    generates skip that pass (see from_sequence): their entries are
+    already exact ints. max_entry is the largest entry, found once at
+    construction; every guard and to_dense compare it. When the last
+    entry is below 2**53 (the dft guard, so every reader of the array is
+    behind it), the row is also converted once to a read-only int64 array,
+    which the dft and power routes and eigenvalues_dft share. Then sign and
+    max_entry come from one reduction, the maximum of the array's uint64
+    view: a negative int64 reads there as 2**63 or more, and for a
+    nonnegative row the view's maximum is the row's. A row with no array
+    (its last entry reaches 2**53, or an entry lies outside int64) is
+    checked by Python passes instead. Equality, hash and repr use first_row
+    only.
     """
 
     first_row: tuple[int, ...]
@@ -64,10 +70,20 @@ class CirculantMatrix:
     _int64_row: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        row = tuple(map(_as_int, self.first_row))
-        object.__setattr__(self, "first_row", row)
+        self._adopt(tuple(map(_as_int, self.first_row)))
+
+    @classmethod
+    def _of_ints(cls, row: Sequence[int]) -> CirculantMatrix:
+        """circ(row) for a row whose entries are all exact ints, with no operator.index pass."""
+        matrix = object.__new__(cls)
+        matrix._adopt(tuple(row))
+        return matrix
+
+    def _adopt(self, row: tuple[int, ...]) -> None:
+        """Store row, a tuple of exact ints, with its int64 array and max_entry."""
         if not row:
             raise ValueError("circulant matrix needs at least one entry")
+        object.__setattr__(self, "first_row", row)
         array = None
         # Recurrence rows grow, so a last entry past the readers' bound skips the attempt.
         if row[-1] < EXACT_DOUBLE_BOUND:
@@ -76,11 +92,12 @@ class CirculantMatrix:
             except OverflowError:
                 pass
         if array is None:
-            low, high = min(row), max(row)
+            negative, high = min(row) < 0, max(row)
         else:
             array.flags.writeable = False
-            low, high = array.min(), int(array.max())
-        if low < 0:
+            high = int(array.view(np.uint64).max())
+            negative = high >= 2**63
+        if negative:
             i = next(i for i, c in enumerate(row) if c < 0)
             bits = row[i].bit_length()  # past 4300 digits an int has no str()
             raise NegativeEntry(f"first row entry at index {i} is negative, of {bits} bits")
@@ -106,11 +123,15 @@ class Spectrum:
 def from_sequence(seq: SequenceId, n: int) -> CirculantMatrix:
     """circ(t(0), ..., t(n-1)) for the given sequence.
 
-    Raises NegativeEntry if any of the first n terms is negative, which
-    can happen for custom recurrences; the four builtins are nonnegative
-    everywhere.
+    The terms skip the constructor's operator.index pass, which on them is
+    the identity: RecurrenceSpec passes every coefficient and initial term
+    through operator.index, and sums and products of exact ints are exact
+    ints. The sign check and max_entry then take one reduction over the
+    int64 row's uint64 view (see CirculantMatrix). Raises NegativeEntry if
+    any of the first n terms is negative, which can happen for custom
+    recurrences; the four builtins are nonnegative everywhere.
     """
-    return CirculantMatrix(prefix(seq, n))
+    return CirculantMatrix._of_ints(prefix(seq, n))
 
 
 def _exact_dtype(matrix: CirculantMatrix) -> type:

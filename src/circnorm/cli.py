@@ -98,8 +98,15 @@ def parse_spec(text: str) -> sequences.RecurrenceSpec:
     return sequences.RecurrenceSpec(coef, init)
 
 
+def _ascii(text: str) -> str:
+    """text itself if ASCII: int() and float() also read non-ASCII digits and spaces."""
+    if not text.isascii():
+        raise argparse.ArgumentTypeError(f"non-ASCII characters in {text!r}")
+    return text
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = int(_ascii(text))
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -110,7 +117,7 @@ def _positive_int_list(text: str) -> list[int]:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = float(_ascii(text))
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError("must be a positive finite number")
     return value
@@ -220,10 +227,10 @@ def _method_entry(r: spectral.MethodResult) -> dict:
 
 
 def _circulants(seq: sequences.SequenceId, orders: list[int]):
-    """circ(t(0), ..., t(n-1)) for each n in orders, all sliced from one prefix."""
+    """circ(t(0), ..., t(n-1)) for each n in orders, sliced from one prefix of exact ints."""
     from . import circulant
-    terms = sequences.prefix(seq, max(orders))
-    return (circulant.CirculantMatrix(terms[:n]) for n in orders)
+    terms = tuple(sequences.prefix(seq, max(orders)))
+    return (circulant.CirculantMatrix._of_ints(terms[:n]) for n in orders)
 
 
 #: What each command hands main to wrap: (results, ok).

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circulant import CirculantMatrix, _exact_dtype, _require_exact_double
+from .circulant import EXACT_DOUBLE_BOUND, CirculantMatrix, _exact_dtype
 # Unused here; circbench's tracer patches spectral.to_dense and spectral.eigenvalues_dft.
 from .circulant import eigenvalues_dft, to_dense
 from .errors import DenseBudgetExceeded, PrecisionLoss
@@ -75,7 +75,11 @@ def spectral_norm_dft(matrix: CirculantMatrix) -> float:
     2**53; below it the transform reads the matrix's int64 row (converted
     once, at construction), which converts to float64 exactly.
     """
-    _require_exact_double((matrix.max_entry,), "matrix entry")
+    if matrix.max_entry >= EXACT_DOUBLE_BOUND:
+        raise PrecisionLoss(
+            f"matrix entry of {matrix.max_entry.bit_length()} bits; "
+            "float64 holds every integer only below 2**53"
+        )
     return float(np.abs(np.fft.rfft(matrix._int64_row)).max())
 
 

@@ -14,8 +14,10 @@ from circnorm import (
     from_sequence,
     matvec_fft,
     matvec_naive,
+    prefix,
     to_dense,
 )
+from circnorm.cli import _circulants
 
 from conftest import oracle_dense, oracle_dft, oracle_matvec
 
@@ -156,6 +158,119 @@ class TestFromSequence:
     def test_zero_order_rejected(self):
         with pytest.raises(ValueError):
             from_sequence("fibonacci", 0)
+
+
+def assert_same_matrix(got, expected):
+    """got, from the entry for exact ints, matches expected, from the constructor."""
+    assert got.first_row == expected.first_row
+    assert all(type(c) is int for c in got.first_row)
+    assert got.max_entry == expected.max_entry
+    assert type(got.max_entry) is int and type(expected.max_entry) is int
+    if expected._int64_row is None:
+        assert got._int64_row is None
+    else:
+        for array in (got._int64_row, expected._int64_row):
+            assert array.dtype == np.int64 and not array.flags.writeable
+        assert np.array_equal(got._int64_row, expected._int64_row)
+    assert got == expected and hash(got) == hash(expected)
+
+
+class TestEntryForExactInts:
+    """from_sequence and cli._circulants skip the constructor's operator.index pass.
+
+    Whatever they build must equal what the public constructor builds from
+    the same terms, down to the int64 row and the NegativeEntry message.
+    """
+
+    @pytest.mark.parametrize("name", ["fibonacci", "lucas", "pell", "perrin"])
+    def test_builtins_match_constructor(self, name):
+        orders = [*range(1, 121), 500]
+        terms = prefix(name, 500)
+        for n, sliced in zip(orders, _circulants(name, orders)):
+            expected = CirculantMatrix(terms[:n])
+            assert_same_matrix(from_sequence(name, n), expected)
+            assert_same_matrix(sliced, expected)
+
+    @given(
+        coefficients=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=2**63, max_value=2**70),
+                st.integers(min_value=-(2**70), max_value=-(2**63)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_custom_specs_match_constructor(self, coefficients, data):
+        k = len(coefficients)
+        init = data.draw(st.lists(st.integers(min_value=0, max_value=9), min_size=k, max_size=k))
+        spec = RecurrenceSpec(tuple(coefficients), tuple(init))
+        for n in range(1, 3 * k + 6):
+            try:
+                expected = CirculantMatrix(prefix(spec, n))
+            except NegativeEntry as exc:
+                with pytest.raises(NegativeEntry) as caught:
+                    from_sequence(spec, n)
+                assert str(caught.value) == str(exc)
+            else:
+                assert_same_matrix(from_sequence(spec, n), expected)
+
+    def test_negative_message_matches_constructor(self):
+        spec = RecurrenceSpec((1, -3), (1, 2))  # 1, 2, -1, -7, ...
+        message = "^first row entry at index 2 is negative, of 1 bits$"
+        for build in (lambda: CirculantMatrix(prefix(spec, 4)), lambda: from_sequence(spec, 4)):
+            with pytest.raises(NegativeEntry, match=message):
+                build()
+
+    def test_constructor_still_maps_through_index(self):
+        m = CirculantMatrix((np.int64(3), True, 2))
+        assert m.first_row == (3, 1, 2)
+        assert all(type(c) is int for c in m.first_row)
+        with pytest.raises(TypeError):
+            CirculantMatrix((1.5,))
+
+
+class TestOneReduction:
+    """Sign and max_entry of an int64 row come from the maximum of its uint64 view.
+
+    A negative int64 reads there as 2**63 or more, so the check is
+    view-max >= 2**63. Comparing with > misses -(2**63), which reads as
+    exactly 2**63; the signed maximum without the view misses every row
+    whose largest entry is still nonnegative, and reads (-1,) as -1.
+    """
+
+    builds = pytest.mark.parametrize(
+        "build", [CirculantMatrix, CirculantMatrix._of_ints], ids=["constructor", "exact_ints"]
+    )
+
+    @builds
+    @pytest.mark.parametrize(
+        "row, index, bits",
+        [
+            ((-1,), 0, 1),
+            ((0, -(2**63), 5), 1, 64),  # reads as exactly 2**63 in the uint64 view
+            ((4, 9, -1, 2, 3), 2, 1),  # a mid-row -1 with a small last entry
+        ],
+    )
+    def test_negative_rows(self, build, row, index, bits):
+        # Every entry fits int64 and the last is below 2**53: the check runs on the array.
+        assert row[-1] < EXACT_DOUBLE_BOUND and min(row) >= -(2**63)
+        message = f"^first row entry at index {index} is negative, of {bits} bits$"
+        with pytest.raises(NegativeEntry, match=message):
+            build(row)
+
+    @builds
+    @pytest.mark.parametrize(
+        "row", [(2**63 - 1, 7, 0), (2**53 - 1,) * 3, (0,)]
+    )
+    def test_nonnegative_rows(self, build, row):
+        m = build(row)
+        assert m._int64_row is not None
+        assert m.max_entry == max(row)
+        assert type(m.max_entry) is int
 
 
 class TestToDense:

@@ -403,6 +403,23 @@ class TestUsageErrors:
             main(list(argv))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("seq", "--id", "fibonacci", "--n", "\u0663"),  # Arabic-Indic three
+            ("norm", "--id", "fibonacci", "--n", "4", "--rel-tol", "\u0661e-8"),
+            ("verify", "--id", "pell", "--n-max", "\u0967"),  # Devanagari one
+            ("bench", "--id", "fibonacci", "--n", "4,\U0001d7d7", "--reps", "1"),
+            ("bench", "--id", "fibonacci", "--n", "4", "--reps", "\u00a01"),  # no-break space
+        ],
+    )
+    def test_non_ascii_number_rejected(self, capsys, argv):
+        # int() and float() read these; the numeric options keep the spec grammar's ASCII rule.
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert "non-ASCII characters in" in capsys.readouterr().err
+
     def test_unknown_method_beside_all(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["norm", "--id", "fibonacci", "--n", "4", "--methods", "all,nosuch"])
