@@ -6,7 +6,8 @@ parameters echo the parsed arguments, or, for verify and bench with
 --format csv, one CSV table of the result rows. The table has one column
 per field of the first row whose value is not a list, in row order, so
 verify's methods list is JSON-only. A CircnormError raised by a command
-yields the JSON error document and exit 1 under either --format.
+yields the JSON error document and exit 1 under either --format, and so
+does a command that runs out of memory (a huge --n or --n-max).
 Diagnostics go to stderr. Exact integers are serialized as decimal
 strings, at any size, so they survive JSON consumers that parse numbers
 as float64. Only the functions that build matrices or norms import the
@@ -319,14 +320,16 @@ def cmd_verify(seq: str, args: argparse.Namespace) -> _Outcome:
 
 
 def _timed(func, reps: int) -> tuple[float, object]:
-    import statistics  # here, not at the top: only bench needs it, and it loads decimal
     times = []
     value = None
     for _ in range(reps):
         start = time.perf_counter()
         value = func()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), value
+    # statistics.median's value, without statistics (it loads decimal, fractions and random).
+    times.sort()
+    half = reps // 2
+    return (times[half] if reps % 2 else (times[half - 1] + times[half]) / 2), value
 
 
 def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
@@ -358,6 +361,9 @@ def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
 
 _COMMANDS = {"seq": cmd_seq, "norm": cmd_norm, "verify": cmd_verify, "bench": cmd_bench}
 
+#: The error document of a command that ran out of memory, such as on a huge --n.
+_OUT_OF_MEMORY = {"type": "MemoryError", "message": "out of memory; try a smaller --n or --n-max"}
+
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and write its envelope; returns the exit code."""
@@ -369,10 +375,14 @@ def main(argv: list[str] | None = None) -> int:
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "spec")}
     if args.id == "custom":
         parameters["spec"] = args.spec
+    error = None
     try:
         results, ok = _COMMANDS[args.command](seq, args)
     except CircnormError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
+    except MemoryError:  # allocate nothing here: the command's memory is freed on leaving
+        error = _OUT_OF_MEMORY
+    if error is not None:
         print(OutputRecord(args.command, parameters, error=error).to_json())
         return 1
     if getattr(args, "format", "json") == "csv":

@@ -12,15 +12,17 @@ the pass is a chain of C-level iterators (islice, map) that reads the
 list as list.extend grows it, so no Python bytecode runs per term.
 term jumps straight to one index by polynomial exponentiation (C. M.
 Fiduccia, SIAM J. Comput. 14(1), 1985) in O(k**2 log n) multiplications,
-so closed_form_sum, which needs only a term or two, costs O(log n)
-products rather than a walk from t(0).
+and each further consecutive term costs one multiply by x of the same
+polynomial, so closed_form_sum, which needs at most three consecutive
+terms, costs one exponentiation of O(log n) products rather than a walk
+from t(0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from operator import index as _as_int
 from typing import Union
 
@@ -87,15 +89,16 @@ BUILTIN_SEQUENCES: dict[str, RecurrenceSpec] = {
     "perrin": PERRIN,
 }
 
-# Partial-sum identities, sum_{i<n} t(i) = (form(t, f, n) - c) / divisor,
-# per builtin: (the identity as usually published, the constant c that
-# closed_form_sum ships, divisor, form). t and f map an index to a term of
-# the sequence itself and of Fibonacci. Every published form has c = 1.
+# Partial-sum identities, sum_{i<n} t(i) = (form(s, n) - c) / divisor, per
+# builtin: (the identity as usually published, the constant c that
+# closed_form_sum ships, divisor, the sequence whose terms s maps an index
+# to, the offsets from n of the first and last index the form reads, form).
+# Every published form has c = 1.
 _SUM_IDENTITIES = {
-    "fibonacci": ("F(n+1) - 1", 1, 1, lambda t, f, n: f(n + 1)),
-    "lucas": ("F(n+2) + F(n) - 1", 1, 1, lambda t, f, n: f(n + 2) + f(n)),
-    "pell": ("(P(n) + P(n-1) - 1) / 2", 1, 2, lambda t, f, n: t(n) + t(n - 1)),
-    "perrin": ("R(n+4) - 1", 2, 1, lambda t, f, n: t(n + 4)),
+    "fibonacci": ("F(n+1) - 1", 1, 1, "fibonacci", (1, 1), lambda s, n: s(n + 1)),
+    "lucas": ("F(n+2) + F(n) - 1", 1, 1, "fibonacci", (0, 2), lambda s, n: s(n + 2) + s(n)),
+    "pell": ("(P(n) + P(n-1) - 1) / 2", 1, 2, "pell", (-1, 0), lambda s, n: s(n) + s(n - 1)),
+    "perrin": ("R(n+4) - 1", 2, 1, "perrin", (4, 4), lambda s, n: s(n + 4)),
 }
 
 #: A sequence is either a builtin name ("fibonacci", "lucas", "pell",
@@ -139,30 +142,46 @@ def _square_mod(r: list[int], taps: list[tuple[int, int]]) -> list[int]:
     return prod[:k]
 
 
+def _times_x(r: list[int], taps: list[tuple[int, int]]) -> None:
+    """r(x) * x mod the characteristic polynomial, in place: shift up, fold x**k."""
+    top = r.pop()
+    r.insert(0, 0)
+    k = len(r)
+    for j, a in taps:
+        r[k - j] += a * top
+
+
+def _window(spec: RecurrenceSpec, m: int, width: int) -> list[int]:
+    """[t(m), ..., t(m + width - 1)] from one polynomial exponentiation.
+
+    Fiduccia's method: r(x) = x**m mod (x**k - a1*x**(k-1) - ... - ak) by
+    square-and-multiply, then t(m) = sum_i r_i * t(i). That is O(log m)
+    polynomial products of O(k**2) big-integer multiplications each, for
+    every recurrence (any order, zero or negative coefficients). Each
+    further term multiplies r by x once more, at O(k) multiplications.
+    """
+    taps = [(j, a) for j, a in enumerate(spec.coefficients, start=1) if a]
+    r = [1] + [0] * (spec.order - 1)
+    for bit in bin(m)[2:]:
+        r = _square_mod(r, taps)
+        if bit == "1":
+            _times_x(r, taps)
+    window = [sum(map(mul, r, spec.initial_terms))]
+    for _ in range(width - 1):
+        _times_x(r, taps)
+        window.append(sum(map(mul, r, spec.initial_terms)))
+    return window
+
+
 def term(seq: SequenceId, n: int) -> int:
     """Exact n-th term (zero-based); for n < order this is an initial term.
 
-    Fiduccia's method: r(x) = x**n mod (x**k - a1*x**(k-1) - ... - ak) by
-    square-and-multiply, then t(n) = sum_i r_i * t(i). That is O(log n)
-    polynomial products of O(k**2) big-integer multiplications each, for
-    every recurrence (any order, zero or negative coefficients).
+    The one-term case of _window: O(log n) polynomial products by
+    Fiduccia's method, with no walk from t(0).
     """
     if n < 0:
         raise ValueError("term index must be nonnegative")
-    spec = resolve(seq)
-    k = spec.order
-    if n < k:
-        return spec.initial_terms[n]
-    taps = [(j, a) for j, a in enumerate(spec.coefficients, start=1) if a]
-    r = [1] + [0] * (k - 1)
-    for bit in bin(n)[2:]:
-        r = _square_mod(r, taps)
-        if bit == "1":  # multiply by x: shift up, fold the x**k coefficient
-            top = r.pop()
-            r.insert(0, 0)
-            for j, a in taps:
-                r[k - j] += a * top
-    return sum(c * t for c, t in zip(r, spec.initial_terms))
+    return _window(resolve(seq), n, 1)[0]
 
 
 def prefix(seq: SequenceId, n: int) -> list[int]:
@@ -170,16 +189,19 @@ def prefix(seq: SequenceId, n: int) -> list[int]:
 
     The terms past the k initial ones come from one chain of C iterators
     over the list itself: for each nonzero coefficient a_j,
-    islice(terms, k - j, None) yields t(i - j) for i = k, k + 1, ...,
-    wrapped in map(mul, repeat(a_j), ...) when a_j != 1; the taps are
-    joined by map(add, ...), and terms.extend appends the stream. This
-    relies on two things list does: extend appends the items of an
-    iterator one at a time, and a list iterator compares its index with
-    the list's current length, so each lag reads t(i - j), already in the
-    list when t(i) is asked for, and never runs off its end. Each new term
-    costs one big-integer addition per nonzero coefficient after the
-    first, plus a multiplication where the coefficient is not 1. With
-    every coefficient 0, the terms past the initial ones are 0.
+    islice(terms, k - j, None) yields t(i - j) for i = k, k + 1, ....
+    The first tap is wrapped in map(mul, repeat(a_j), ...) when a_j != 1.
+    Each later tap is joined on by map(add, ...) when a_j > 0 and by
+    map(sub, ...) when a_j < 0, wrapped in map(mul, repeat(|a_j|), ...)
+    when |a_j| != 1; terms.extend appends the stream. This relies on two
+    things list does: extend appends the items of an iterator one at a
+    time, and a list iterator compares its index with the list's current
+    length, so each lag reads t(i - j), already in the list when t(i) is
+    asked for, and never runs off its end. Each new term costs one
+    big-integer addition or subtraction per nonzero coefficient after the
+    first, plus a multiplication where the coefficient is not 1 (nor, after
+    the first tap, -1). With every coefficient 0, the terms past the
+    initial ones are 0.
     """
     if n < 1:
         raise ValueError("term count must be positive")
@@ -192,9 +214,12 @@ def prefix(seq: SequenceId, n: int) -> list[int]:
     for j, a in enumerate(spec.coefficients, start=1):
         if a:
             lag = islice(terms, k - j, None)  # t(i - j) for i = k, k + 1, ...
+            join = add
+            if a < 0 and stream is not None:  # subtract |a| * t(i - j)
+                join, a = sub, -a
             if a != 1:
                 lag = map(mul, repeat(a), lag)
-            stream = lag if stream is None else map(add, stream, lag)
+            stream = lag if stream is None else map(join, stream, lag)
     terms.extend(repeat(0, n - k) if stream is None else islice(stream, n - k))
     return terms
 
@@ -256,9 +281,9 @@ def closed_form_sum(seq: SequenceId, n: int) -> int:
     if n < 1:
         raise ValueError("term count must be positive")
     name = _builtin_name(seq)
-    _, constant, divisor, form = _SUM_IDENTITIES[name]
-    spec = BUILTIN_SEQUENCES[name]
-    numerator = form(lambda i: term(spec, i), lambda i: term(FIBONACCI, i), n)
+    _, constant, divisor, source, (first, last), form = _SUM_IDENTITIES[name]
+    window = _window(BUILTIN_SEQUENCES[source], n + first, last - first + 1)
+    numerator = form(lambda i: window[i - n - first], n)
     value, rem = divmod(numerator - constant, divisor)
     if rem:  # unreachable: Pell parities alternate, so the numerator is even
         raise ArithmeticError("Pell closed form produced an odd numerator")
@@ -304,16 +329,15 @@ def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:
     if n_max < 1:
         raise ValueError("n_max must be positive")
     name = _builtin_name(seq)
-    published, _, divisor, form = _SUM_IDENTITIES[name]
-    # Index reach per formula: F(n+2) for lucas, P(n) for pell, R(n+4) for perrin.
-    own = prefix(name, n_max + 5)
-    fib = prefix(FIBONACCI, n_max + 3) if name == "lucas" else own
+    published, _, divisor, source, (_, last), form = _SUM_IDENTITIES[name]
+    terms = prefix(source, n_max + last + 1)
+    own = terms if source == name else prefix(name, n_max)
 
     rows = []
     running = 0
     for n in range(1, n_max + 1):
         running += own[n - 1]
-        value, rem = divmod(form(own.__getitem__, fib.__getitem__, n) - 1, divisor)
+        value, rem = divmod(form(terms.__getitem__, n) - 1, divisor)
         rows.append(
             AuditRow(
                 n=n,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +60,13 @@ def spectral_norm_sum(matrix: CirculantMatrix) -> int:
     return sum(matrix.first_row)
 
 
+def _dft_skip(matrix: CirculantMatrix) -> str | None:
+    """The dft skip note when an entry reaches 2**53 (float64 rounds past it), else None."""
+    if matrix.max_entry >= EXACT_DOUBLE_BOUND:
+        return "skipped: entries reach 2**53"
+    return None
+
+
 def spectral_norm_dft(matrix: CirculantMatrix) -> float:
     """Spectral norm via diagonalization: max_k |lambda_k| over the DFT eigenvalues.
 
@@ -72,10 +79,11 @@ def spectral_norm_dft(matrix: CirculantMatrix) -> float:
     |lambda_k|, and no 1/n scaling is applied or undone. For nonnegative
     rows the maximum is attained at k = 0, where the eigenvalue is real
     and equals the entry sum. Raises PrecisionLoss when an entry reaches
-    2**53; below it the transform reads the matrix's int64 row (converted
-    once, at construction), which converts to float64 exactly.
+    2**53 (see _dft_skip); below it the transform reads the matrix's int64
+    row (converted once, at construction), which converts to float64
+    exactly.
     """
-    if matrix.max_entry >= EXACT_DOUBLE_BOUND:
+    if _dft_skip(matrix) is not None:
         raise PrecisionLoss(
             f"matrix entry of {matrix.max_entry.bit_length()} bits; "
             "float64 holds every integer only below 2**53"
@@ -116,6 +124,23 @@ class ConvergenceRecord:
 _ONE_STEP = ConvergenceRecord(iterations=1, converged=True)
 
 
+_ENTRY_SKIP = "skipped: entries reach 2**26"
+_ORDER_SKIP = f"skipped: order exceeds {DENSE_ORDER_LIMIT}"
+
+
+def _power_skip(matrix: CirculantMatrix) -> str | None:
+    """The power skip note of the first bound matrix breaks, else None.
+
+    The entries must be below GRAM_SAFE_BOUND, then the order at most
+    DENSE_ORDER_LIMIT.
+    """
+    if matrix.max_entry >= GRAM_SAFE_BOUND:
+        return _ENTRY_SKIP
+    if matrix.order > DENSE_ORDER_LIMIT:
+        return _ORDER_SKIP
+    return None
+
+
 def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceRecord]:
     """Spectral norm as sqrt(lambda_max(G)), G = A^T A, from the Gram's first row.
 
@@ -133,25 +158,28 @@ def spectral_norm_power(matrix: CirculantMatrix) -> tuple[float, ConvergenceReco
     and converged = True.
 
     Raises PrecisionLoss when an entry reaches 2**26, then
-    DenseBudgetExceeded when the order passes DENSE_ORDER_LIMIT. Within
-    both, n * max**2 < 2**61.
+    DenseBudgetExceeded when the order passes DENSE_ORDER_LIMIT (see
+    _power_skip). Within both, n * max**2 < 2**61.
     """
-    n = matrix.order
-    if matrix.max_entry >= GRAM_SAFE_BOUND:
+    skip = _power_skip(matrix)
+    if skip is _ENTRY_SKIP:
         raise PrecisionLoss(
             f"entry of {matrix.max_entry.bit_length()} bits is not below 2**26, "
             f"the bound that keeps n * max**2 < 2**61 up to order {DENSE_ORDER_LIMIT}"
         )
-    if n > DENSE_ORDER_LIMIT:
+    if skip is not None:
         raise DenseBudgetExceeded(
-            f"order {n} exceeds the dense power limit of {DENSE_ORDER_LIMIT}"
+            f"order {matrix.order} exceeds the dense power limit of {DENSE_ORDER_LIMIT}"
         )
     return math.sqrt(float(_gram(matrix).sum())), _ONE_STEP
 
 
-@dataclass(frozen=True)
-class MethodResult:
-    """One method's norm value; value is None when skipped or failed."""
+class MethodResult(NamedTuple):
+    """One method's norm value; value is None when skipped or failed.
+
+    An immutable named tuple: it indexes, unpacks and compares equal to the
+    plain tuple (method, value, exact_value, note).
+    """
 
     method: str
     value: float | None
@@ -159,9 +187,11 @@ class MethodResult:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Per-method norm values with their mutual agreement diagnostics."""
+class NormReport(NamedTuple):
+    """Per-method norm values with their mutual agreement diagnostics.
+
+    An immutable named tuple, like MethodResult.
+    """
 
     order: int
     methods: tuple[MethodResult, ...]
@@ -173,12 +203,14 @@ class NormReport:
 def run_method(matrix: CirculantMatrix, method: str) -> MethodResult:
     """Run one norm method on one matrix behind its entry guard.
 
-    A method whose route raises PrecisionLoss (dft needs entries below
-    2**53, power below 2**26) is skipped: its value is None and its note
-    names the bound. So is power past DENSE_ORDER_LIMIT, whose note names
-    that limit. The sum's float value is inf past the float64 range.
-    Power carries no note when it runs. Raises ValueError for a method not
-    in METHOD_NAMES.
+    The dft and power routes first ask their guard (_dft_skip, _power_skip)
+    whether they can run. If not, the method is skipped without calling
+    the route: its value is None and its note names the bound, the entry
+    bound (dft needs entries below 2**53, power below 2**26) before
+    power's DENSE_ORDER_LIMIT. Otherwise the route is called through this
+    module's globals, so a patched route is the one that runs. The sum's
+    float value is inf past the float64 range. Power carries no note when
+    it runs. Raises ValueError for a method not in METHOD_NAMES.
     """
     if method == "sum":
         exact = spectral_norm_sum(matrix)
@@ -186,21 +218,18 @@ def run_method(matrix: CirculantMatrix, method: str) -> MethodResult:
             value = float(exact)
         except OverflowError:
             value = math.inf
-        return MethodResult("sum", value, exact_value=exact)
-    if method not in METHOD_NAMES:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    try:
-        if method == "dft":
+        return MethodResult("sum", value, exact)
+    if method == "dft":
+        note = _dft_skip(matrix)
+        if note is None:
             return MethodResult("dft", spectral_norm_dft(matrix))
-        value, _ = spectral_norm_power(matrix)
-    except PrecisionLoss:
-        bound = "2**53" if method == "dft" else "2**26"
-        return MethodResult(method, None, note=f"skipped: entries reach {bound}")
-    except DenseBudgetExceeded:
-        return MethodResult(
-            method, None, note=f"skipped: order exceeds {DENSE_ORDER_LIMIT}"
-        )
-    return MethodResult("power", value)
+    elif method == "power":
+        note = _power_skip(matrix)
+        if note is None:
+            return MethodResult("power", spectral_norm_power(matrix)[0])
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    return MethodResult(method, None, None, note)
 
 
 def norm_report(
@@ -220,15 +249,9 @@ def norm_report(
     values = [r.value for r in results if r.value is not None]
     gap = 0.0
     if len(values) >= 2:
-        denom = max(max(values), 1.0)
-        gap = (max(values) - min(values)) / denom
-    return NormReport(
-        order=order,
-        methods=tuple(results),
-        max_pairwise_relative_gap=gap,
-        rel_tol=rel_tol,
-        agrees=gap <= rel_tol,
-    )
+        top = max(values)
+        gap = (top - min(values)) / max(top, 1.0)
+    return NormReport(order, tuple(results), gap, rel_tol, gap <= rel_tol)
 
 
 def compare_methods(
@@ -238,8 +261,8 @@ def compare_methods(
 ) -> NormReport:
     """Run the requested norm methods and report their mutual agreement.
 
-    Each method goes through run_method, so one whose entry guard is
-    violated is skipped and marked in its note instead of raising. The
+    Each method goes through run_method, whose guards skip a method
+    outside its bounds, marked in its note, with no exception raised. The
     Gram's first row g sums to (sum c)**2, each product c_i c_j falling in
     exactly one lag, so power checks _gram only up to that total; TestGram
     (tests/test_spectral.py) checks g itself against the exact Gram.
@@ -249,9 +272,8 @@ def compare_methods(
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
-    wanted = list(dict.fromkeys(methods))
+    wanted = dict.fromkeys(methods)
     unknown = [m for m in wanted if m not in METHOD_NAMES]
     if unknown:
         raise ValueError(f"unknown methods {unknown}; expected subset of {METHOD_NAMES}")
-    results = [run_method(matrix, m) for m in wanted]
-    return norm_report(matrix.order, results, rel_tol)
+    return norm_report(matrix.order, [run_method(matrix, m) for m in wanted], rel_tol)

@@ -3,15 +3,18 @@ import csv
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
 import circnorm.circulant
+import circnorm.cli
 import circnorm.sequences
 import circnorm.spectral
 from circnorm.cli import load_output_schema, main, parse_spec
@@ -363,6 +366,22 @@ class TestBenchCommand:
         assert by_name["sum"]["agrees"] is False
 
 
+class TestBenchMedian:
+    @pytest.mark.parametrize(
+        "durations", [[0.5], [0.5, 0.125], [0.5, 3.0, 0.125], [0.5, 0.125, 3.0, 0.25],
+                      [1e-7, 2e-7, 1e-7, 4e-7]],
+    )
+    def test_equals_statistics_median(self, durations, monkeypatch):
+        # A fake clock: rep i starts at 10 * i and takes durations[i].
+        ticks = iter([t for i, d in enumerate(durations) for t in (10.0 * i, 10.0 * i + d)])
+        clock = SimpleNamespace(perf_counter=lambda: next(ticks))
+        monkeypatch.setattr(circnorm.cli, "time", clock)
+        median, value = circnorm.cli._timed(lambda: "value", len(durations))
+        assert value == "value"
+        elapsed = [(10.0 * i + d) - 10.0 * i for i, d in enumerate(durations)]
+        assert median == statistics.median(elapsed)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -613,6 +632,49 @@ class TestModuleEntrypoint:
         doc = json.loads(proc.stdout)
         VALIDATOR.validate(doc)
         assert doc["results"]["terms"] == ["3", "0", "2", "3"]
+
+
+#: Loads numpy, caps this process's address space at its size now plus 256 MiB,
+#: then runs cli.main on the argv in sys.argv[1].
+OUT_OF_MEMORY_PROBE = """
+import json, resource, sys
+import circnorm.cli, circnorm.spectral
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * resource.getpagesize() + 2**28
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(circnorm.cli.main(json.loads(sys.argv[1])))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["seq", "--id", "custom", "--spec", "k=1;coef=0;init=0", "--n", "10000000000"],
+            ["norm", "--id", "custom", "--spec", "k=1;coef=1;init=1", "--n", "10000000000"],
+            ["verify", "--id", "fibonacci", "--n-max", "10000000000"],
+            ["bench", "--id", "custom", "--spec", "k=1;coef=0;init=0",
+             "--n", "3,10000000000", "--reps", "1"],
+        ],
+        ids=["seq", "norm", "verify", "bench"],
+    )
+    def test_huge_n_ends_in_the_error_document(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", OUT_OF_MEMORY_PROBE, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = parse_record(proc.stdout)
+        assert doc["error"] == {
+            "type": "MemoryError",
+            "message": "out of memory; try a smaller --n or --n-max",
+        }
 
 
 #: Runs `python -m circnorm <argv>` (or, with no argv, a bare `import circnorm`)

@@ -17,6 +17,7 @@ from circnorm import (
     resolve,
     term,
 )
+from circnorm.sequences import _window
 
 from conftest import oracle_builtin, oracle_terms
 
@@ -116,6 +117,26 @@ class TestTerm:
         assert f_m % p == a
 
 
+class TestWindow:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtin_at_every_offset(self, name):
+        spec = BUILTIN_SEQUENCES[name]
+        oracle = oracle_builtin(name, 130)
+        for m in range(120):
+            expected = [term(spec, m + i) for i in range(8)]
+            assert _window(spec, m, 8) == expected == oracle[m:m + 8]
+            assert _window(spec, m, 1) == [term(spec, m)]
+
+    @given(
+        spec=recurrence_specs(),
+        m=st.integers(min_value=0, max_value=300),
+        width=st.integers(min_value=1, max_value=6),
+    )
+    def test_custom_matches_term_and_oracle(self, spec, m, width):
+        expected = oracle_terms(spec.coefficients, spec.initial_terms, m + width)[m:]
+        assert _window(spec, m, width) == [term(spec, m + i) for i in range(width)] == expected
+
+
 class TestPrefix:
     def test_frozen_values(self):
         assert prefix("fibonacci", 5) == [0, 1, 1, 2, 3]
@@ -154,6 +175,17 @@ class TestPrefix:
         expected = oracle_terms(spec.coefficients, spec.initial_terms, count)
         for n in range(1, count + 1):
             assert prefix(spec, n) == expected[:n]
+
+    # A negative first tap is multiplied in; a later one is subtracted, times |a| unless 1.
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(-1,), (-3,), (-1, 2), (-3, 1, 1), (2, -1, 1), (1, -3, 2), (2, -1), (1, 2, -3)],
+    )
+    def test_negative_taps_match_oracle(self, coefficients):
+        init = tuple(range(5, 5 + len(coefficients)))
+        spec = RecurrenceSpec(coefficients, init)
+        for n in range(1, 3 * spec.order + 40):
+            assert prefix(spec, n) == oracle_terms(coefficients, init, n)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_all_zero_coefficients(self, k):
@@ -212,7 +244,7 @@ class TestClosedFormSum:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_equals_prefix_sum_exactly(self, name):
-        for n in range(1, 201):
+        for n in range(1, 601):
             assert closed_form_sum(name, n) == prefix_sum(name, n)
 
     def test_lucas_form_equivalence(self, fib):
@@ -253,8 +285,8 @@ class TestAudit:
     def test_odd_pell_numerator_is_flagged(self, monkeypatch):
         # Unreachable with the real Pell parities: shift the numerator by one
         # so every halving leaves a remainder but floors to the direct sum.
-        text, constant, divisor, form = circnorm.sequences._SUM_IDENTITIES["pell"]
-        odd = (text, constant, divisor, lambda t, f, n: form(t, f, n) + 1)
+        *fields, form = circnorm.sequences._SUM_IDENTITIES["pell"]
+        odd = (*fields, lambda s, n: form(s, n) + 1)
         monkeypatch.setitem(circnorm.sequences._SUM_IDENTITIES, "pell", odd)
         audit = audit_closed_form_identity("pell", 6)
         assert all(row.published_value == row.direct_sum for row in audit.rows)

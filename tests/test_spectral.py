@@ -21,7 +21,14 @@ from circnorm import (
 
 from circnorm.circulant import to_dense
 from circnorm.errors import DenseBudgetExceeded
-from circnorm.spectral import DENSE_ORDER_LIMIT, MethodResult, _gram, norm_report, run_method
+from circnorm.spectral import (
+    DENSE_ORDER_LIMIT,
+    MethodResult,
+    NormReport,
+    _gram,
+    norm_report,
+    run_method,
+)
 
 from conftest import oracle_builtin, oracle_dense, oracle_dft, oracle_gram
 
@@ -419,6 +426,88 @@ class TestRunMethod:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_method(CirculantMatrix((1,)), "qr")
+
+
+#: (row, method, run_method's value and note, and what a direct call of the
+#: route returns or raises), frozen from the implementation that skipped by
+#: catching the route's exception: each guard at its bound and one below it.
+GUARD_TABLE = [
+    ("2**26-1", (2**26 - 1, 1), "dft", 67108864.0, None, None),
+    ("2**26-1", (2**26 - 1, 1), "power", 67108864.0, None, None),
+    ("2**26", (2**26, 1), "dft", 67108865.0, None, None),
+    ("2**26", (2**26, 1), "power", None, "skipped: entries reach 2**26", (
+        PrecisionLoss, "entry of 27 bits is not below 2**26, the bound that keeps "
+        "n * max**2 < 2**61 up to order 512")),
+    ("2**53-1", (2**53 - 1, 1), "dft", 9007199254740992.0, None, None),
+    ("2**53-1", (2**53 - 1, 1), "power", None, "skipped: entries reach 2**26", (
+        PrecisionLoss, "entry of 53 bits is not below 2**26, the bound that keeps "
+        "n * max**2 < 2**61 up to order 512")),
+    ("2**53", (2**53, 1), "dft", None, "skipped: entries reach 2**53", (
+        PrecisionLoss, "matrix entry of 54 bits; float64 holds every integer only below 2**53")),
+    ("2**53", (2**53, 1), "power", None, "skipped: entries reach 2**26", (
+        PrecisionLoss, "entry of 54 bits is not below 2**26, the bound that keeps "
+        "n * max**2 < 2**61 up to order 512")),
+    ("order-512", (1,) * 512, "dft", 512.0, None, None),
+    ("order-512", (1,) * 512, "power", 512.0, None, None),
+    ("order-513", (1,) * 513, "dft", 513.0, None, None),
+    ("order-513", (1,) * 513, "power", None, "skipped: order exceeds 512", (
+        DenseBudgetExceeded, "order 513 exceeds the dense power limit of 512")),
+]
+
+
+class TestGuardTable:
+    @pytest.mark.parametrize(
+        "row, method, value, note, raised",
+        [case[1:] for case in GUARD_TABLE],
+        ids=[f"{case[2]}-{case[0]}" for case in GUARD_TABLE],
+    )
+    def test_skip_and_direct_call(self, row, method, value, note, raised):
+        matrix = CirculantMatrix(row)
+        assert run_method(matrix, method) == MethodResult(method, value, None, note)
+        route = {"dft": spectral_norm_dft, "power": lambda m: spectral_norm_power(m)[0]}[method]
+        if raised is None:
+            assert route(matrix) == value
+            return
+        kind, message = raised
+        with pytest.raises(kind) as info:
+            route(matrix)
+        assert type(info.value) is kind and str(info.value) == message
+
+
+class TestRecords:
+    def test_method_result(self):
+        result = MethodResult("sum", 3.0, 3)
+        assert MethodResult._fields == ("method", "value", "exact_value", "note")
+        assert repr(result) == "MethodResult(method='sum', value=3.0, exact_value=3, note=None)"
+        assert hash(result) == hash(("sum", 3.0, 3, None))
+        # A named tuple: it unpacks, indexes and equals the plain tuple of its fields.
+        assert result == ("sum", 3.0, 3, None) and result[1] == 3.0
+        method, value, exact, note = result
+        assert (method, value, exact, note) == ("sum", 3.0, 3, None)
+
+    def test_norm_report(self):
+        report = compare_methods(CirculantMatrix((1, 2)), methods=("sum", "dft"))
+        assert NormReport._fields == (
+            "order", "methods", "max_pairwise_relative_gap", "rel_tol", "agrees"
+        )
+        assert repr(report) == (
+            "NormReport(order=2, methods=(MethodResult(method='sum', value=3.0, "
+            "exact_value=3, note=None), MethodResult(method='dft', value=3.0, "
+            "exact_value=None, note=None)), max_pairwise_relative_gap=0.0, "
+            "rel_tol=1e-08, agrees=True)"
+        )
+        assert hash(report) == hash((2, report.methods, 0.0, 1e-8, True))
+        assert report == (2, (("sum", 3.0, 3, None), ("dft", 3.0, None, None)), 0.0, 1e-8, True)
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(MethodResult("sum", 1.0, 1), "value"), (MethodResult("dft", None), "note"),
+         (NormReport(1, (), 0.0, 1e-8, True), "agrees"),
+         (NormReport(1, (), 0.0, 1e-8, True), "methods")],
+    )
+    def test_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 class TestDenseOrderLimit:
