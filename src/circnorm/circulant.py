@@ -126,10 +126,13 @@ def from_sequence(seq: SequenceId, n: int) -> CirculantMatrix:
     The terms skip the constructor's operator.index pass, which on them is
     the identity: RecurrenceSpec passes every coefficient and initial term
     through operator.index, and sums and products of exact ints are exact
-    ints. The sign check and max_entry then take one reduction over the
-    int64 row's uint64 view (see CirculantMatrix). Raises NegativeEntry if
-    any of the first n terms is negative, which can happen for custom
-    recurrences; the four builtins are nonnegative everywhere.
+    ints. When the row gets its int64 array (its last term is below 2**53
+    and every term fits int64), the sign check and max_entry take one
+    reduction over the array's uint64 view; otherwise, as for fibonacci
+    from n = 80, they take Python passes (see CirculantMatrix). Raises
+    NegativeEntry if any of the first n terms is negative, which can
+    happen for custom recurrences; the four builtins are nonnegative
+    everywhere.
     """
     return CirculantMatrix._of_ints(prefix(seq, n))
 

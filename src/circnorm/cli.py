@@ -7,13 +7,15 @@ parameters echo the parsed arguments, or, for verify and bench with
 per field of the first row whose value is not a list, in row order, so
 verify's methods list is JSON-only. A CircnormError raised by a command
 yields the JSON error document and exit 1 under either --format, and so
-does a command that runs out of memory (a huge --n or --n-max).
-Diagnostics go to stderr. Exact integers are serialized as decimal
-strings, at any size, so they survive JSON consumers that parse numbers
-as float64. Only the functions that build matrices or norms import the
-numpy-backed circulant and spectral modules, so seq, --help and usage
-errors run without numpy. Of the usage errors, only an unknown --methods
-name loads it, since the names are checked against spectral.METHOD_NAMES.
+does running out of memory (a huge --n or --n-max) in a command or while
+writing its JSON document, though not while writing a CSV table, which
+goes out row by row. Diagnostics go to stderr. Exact integers are
+serialized as decimal strings, at any size, so they survive JSON
+consumers that parse numbers as float64. Only the functions that build
+matrices or norms import the numpy-backed circulant and spectral
+modules, so seq, --help and usage errors run without numpy. Of the usage
+errors, only an unknown --methods name loads it, since the names are
+checked against spectral.METHOD_NAMES.
 
 Exit codes: 0 success / all checks agree, 1 verification or computation
 failure, 2 usage error.
@@ -27,7 +29,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sequences
 from .errors import CircnormError
@@ -36,11 +38,10 @@ from .sequences import _decimal, _from_decimal
 __all__ = ["OutputRecord", "load_output_schema", "parse_spec", "build_parser", "main"]
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One machine-readable CLI result: command, parameters, payload.
 
-    Exactly one of results/error is set.
+    An immutable named tuple. Exactly one of results/error is set.
     """
 
     command: str
@@ -49,11 +50,7 @@ class OutputRecord:
     error: dict | None = None
 
     def to_json(self) -> str:
-        payload: dict = {"command": self.command, "parameters": self.parameters}
-        if self.results is not None:
-            payload["results"] = self.results
-        if self.error is not None:
-            payload["error"] = self.error
+        payload = {key: value for key, value in self._asdict().items() if value is not None}
         # Every payload is a fresh tree of dicts, lists and scalars: no cycle to catch.
         return json.dumps(payload, indent=2, allow_nan=False, check_circular=False)
 
@@ -219,12 +216,9 @@ def _parse_methods(parser: argparse.ArgumentParser, text: str) -> list[str]:
 
 
 def _method_entry(r: spectral.MethodResult) -> dict:
-    return {
-        "method": r.method,
-        "value": r.value if r.value is not None and math.isfinite(r.value) else None,
-        "exact_value": None if r.exact_value is None else _decimal(r.exact_value),
-        "note": r.note,
-    }
+    value = r.value if r.value is not None and math.isfinite(r.value) else None
+    exact = None if r.exact_value is None else _decimal(r.exact_value)
+    return dict(r._asdict(), value=value, exact_value=exact)
 
 
 def _circulants(seq: sequences.SequenceId, orders: list[int]):
@@ -254,14 +248,8 @@ def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
     from . import circulant, spectral
     matrix = circulant.from_sequence(seq, args.n)
     report = spectral.compare_methods(matrix, rel_tol=args.rel_tol, methods=args.methods)
-    results = {
-        "order": report.order,
-        "methods": [_method_entry(r) for r in report.methods],
-        "max_pairwise_relative_gap": report.max_pairwise_relative_gap,
-        "rel_tol": report.rel_tol,
-        "agrees": report.agrees,
-    }
-    return results, report.agrees
+    methods = [_method_entry(r) for r in report.methods]
+    return dict(report._asdict(), methods=methods), report.agrees
 
 
 def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[dict]]:
@@ -375,22 +363,24 @@ def main(argv: list[str] | None = None) -> int:
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "spec")}
     if args.id == "custom":
         parameters["spec"] = args.spec
-    error = None
+    error = text = None
     try:
         results, ok = _COMMANDS[args.command](seq, args)
+        if getattr(args, "format", "json") == "json":
+            text = OutputRecord(args.command, parameters, results=results).to_json()
     except CircnormError as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
     except MemoryError:  # allocate nothing here: the command's memory is freed on leaving
-        error = _OUT_OF_MEMORY
+        error, results = _OUT_OF_MEMORY, None  # and drop the results, which outlive the command
     if error is not None:
         print(OutputRecord(args.command, parameters, error=error).to_json())
         return 1
-    if getattr(args, "format", "json") == "csv":
+    if text is None:  # --format csv
         rows = results["rows"]
         columns = [key for key, value in rows[0].items() if not isinstance(value, list)]
         writer = csv.DictWriter(sys.stdout, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     else:
-        print(OutputRecord(args.command, parameters, results=results).to_json())
+        print(text)
     return 0 if ok else 1

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add, mul, sub
 from operator import index as _as_int
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import UnsupportedSequence
 
@@ -290,8 +290,7 @@ def closed_form_sum(seq: SequenceId, n: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     """One audited index: published formula value vs direct summation."""
 
     n: int
@@ -300,9 +299,11 @@ class AuditRow:
     matches: bool
 
 
-@dataclass(frozen=True)
-class IdentityAudit:
-    """Per-n comparison of a published sum identity with direct summation."""
+class IdentityAudit(NamedTuple):
+    """Per-n comparison of a published sum identity with direct summation.
+
+    An immutable named tuple, like AuditRow.
+    """
 
     sequence: str
     published_form: str
@@ -338,12 +339,5 @@ def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:
     for n in range(1, n_max + 1):
         running += own[n - 1]
         value, rem = divmod(form(terms.__getitem__, n) - 1, divisor)
-        rows.append(
-            AuditRow(
-                n=n,
-                published_value=value,
-                direct_sum=running,
-                matches=rem == 0 and value == running,
-            )
-        )
-    return IdentityAudit(sequence=name, published_form=published, rows=tuple(rows))
+        rows.append(AuditRow(n, value, running, rem == 0 and value == running))
+    return IdentityAudit(name, published, tuple(rows))

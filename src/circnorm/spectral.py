@@ -14,7 +14,6 @@ modulus of every eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -112,8 +111,7 @@ def _gram(matrix: CirculantMatrix) -> np.ndarray:
     return g.astype(np.float64, copy=False)
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """Step count and flag of the power route (circbench's tracer reads both)."""
 
     iterations: int

@@ -17,7 +17,7 @@ import circnorm.circulant
 import circnorm.cli
 import circnorm.sequences
 import circnorm.spectral
-from circnorm.cli import load_output_schema, main, parse_spec
+from circnorm.cli import OutputRecord, load_output_schema, main, parse_spec
 
 SCHEMA = load_output_schema()
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -516,6 +516,17 @@ class TestEnvelope:
 
 class TestOutputRecord:
     def test_schema_rejects_malformed(self):
+        record = OutputRecord("seq", {"n": 1}, results={"terms": ["0"]})
+        assert OutputRecord._fields == ("command", "parameters", "results", "error")
+        assert repr(record) == (
+            "OutputRecord(command='seq', parameters={'n': 1}, results={'terms': ['0']}, error=None)"
+        )
+        # Its dict fields leave it as unhashable as the plain tuple of them.
+        for value in (record, tuple(record)):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+        # The envelope leaves out whichever of results/error is None.
+        assert list(parse_record(record.to_json())) == ["command", "parameters", "results"]
         with pytest.raises(jsonschema.ValidationError):
             VALIDATOR.validate({"command": "seq", "parameters": {}})
         with pytest.raises(jsonschema.ValidationError):
@@ -656,8 +667,10 @@ class TestOutOfMemory:
             ["verify", "--id", "fibonacci", "--n-max", "10000000000"],
             ["bench", "--id", "custom", "--spec", "k=1;coef=0;init=0",
              "--n", "3,10000000000", "--reps", "1"],
+            # The terms fit under the cap; their JSON document does not.
+            ["seq", "--id", "custom", "--spec", "k=1;coef=1;init=1", "--n", "2000000"],
         ],
-        ids=["seq", "norm", "verify", "bench"],
+        ids=["seq", "norm", "verify", "bench", "seq-document"],
     )
     def test_huge_n_ends_in_the_error_document(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")

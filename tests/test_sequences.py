@@ -17,7 +17,7 @@ from circnorm import (
     resolve,
     term,
 )
-from circnorm.sequences import _window
+from circnorm.sequences import AuditRow, IdentityAudit, _window
 
 from conftest import oracle_builtin, oracle_terms
 
@@ -301,6 +301,15 @@ class TestAudit:
         # The printed value overshoots the true sum by exactly one, always.
         for row in audit.rows:
             assert row.published_value - row.direct_sum == 1
+        first = audit_closed_form_identity("perrin", 1)
+        assert IdentityAudit._fields == ("sequence", "published_form", "rows")
+        assert AuditRow._fields == ("n", "published_value", "direct_sum", "matches")
+        assert repr(first) == (
+            "IdentityAudit(sequence='perrin', published_form='R(n+4) - 1', rows=(AuditRow("
+            "n=1, published_value=4, direct_sum=3, matches=False),))"
+        )
+        assert hash(first.rows[0]) == hash((1, 4, 3, False))
+        assert hash(first) == hash(("perrin", "R(n+4) - 1", ((1, 4, 3, False),)))
 
     def test_rows_carry_direct_sums(self):
         audit = audit_closed_form_identity("perrin", 10)

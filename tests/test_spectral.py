@@ -20,9 +20,12 @@ from circnorm import (
 )
 
 from circnorm.circulant import to_dense
+from circnorm.cli import OutputRecord
 from circnorm.errors import DenseBudgetExceeded
+from circnorm.sequences import AuditRow, IdentityAudit
 from circnorm.spectral import (
     DENSE_ORDER_LIMIT,
+    ConvergenceRecord,
     MethodResult,
     NormReport,
     _gram,
@@ -503,7 +506,9 @@ class TestRecords:
         "record, field",
         [(MethodResult("sum", 1.0, 1), "value"), (MethodResult("dft", None), "note"),
          (NormReport(1, (), 0.0, 1e-8, True), "agrees"),
-         (NormReport(1, (), 0.0, 1e-8, True), "methods")],
+         (NormReport(1, (), 0.0, 1e-8, True), "methods"),
+         (ConvergenceRecord(1, True), "converged"), (AuditRow(1, 4, 3, False), "matches"),
+         (IdentityAudit("perrin", "R(n+4) - 1", ()), "rows"), (OutputRecord("seq", {}), "error")],
     )
     def test_immutable(self, record, field):
         with pytest.raises(AttributeError):
@@ -549,6 +554,9 @@ class TestDefaults:
         matrix = CirculantMatrix(row)
         value, record = spectral_norm_power(matrix)
         assert record.iterations == 1
+        assert ConvergenceRecord._fields == ("iterations", "converged")
+        assert repr(record) == "ConvergenceRecord(iterations=1, converged=True)"
+        assert hash(record) == hash((1, True))
         assert rel_close(value, float(sum(row)), 1e-8)
         (power,) = compare_methods(matrix, rel_tol=rel_tol, methods=("power",)).methods
         assert power.value == value and power.note is None
