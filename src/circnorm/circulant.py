@@ -19,9 +19,11 @@ here is pure and safe to call concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import index as _as_int
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -61,8 +63,10 @@ class CirculantMatrix:
     view: a negative int64 reads there as 2**63 or more, and for a
     nonnegative row the view's maximum is the row's. A row with no array
     (its last entry reaches 2**53, or an entry lies outside int64) is
-    checked by Python passes instead. Equality, hash and repr use first_row
-    only.
+    checked by Python passes instead. Rows sliced from one prefix (verify
+    and bench, through _nested) skip both: their arrays are read-only
+    views of one array, and a running maximum gives max_entry. Equality,
+    hash and repr use first_row only.
     """
 
     first_row: tuple[int, ...]
@@ -73,30 +77,64 @@ class CirculantMatrix:
         self._adopt(tuple(map(_as_int, self.first_row)))
 
     @classmethod
-    def _of_ints(cls, row: Sequence[int]) -> CirculantMatrix:
+    def _of_ints(cls, row: Sequence[int], scanned: tuple | None = None) -> CirculantMatrix:
         """circ(row) for a row whose entries are all exact ints, with no operator.index pass."""
         matrix = object.__new__(cls)
-        matrix._adopt(tuple(row))
+        matrix._adopt(tuple(row), scanned)
         return matrix
 
-    def _adopt(self, row: tuple[int, ...]) -> None:
-        """Store row, a tuple of exact ints, with its int64 array and max_entry."""
+    @classmethod
+    def _nested(cls, terms: Sequence[int], orders: Iterable[int]) -> Iterator[CirculantMatrix]:
+        """circ(terms[:n]) for each n in orders (1 <= n <= len(terms)), from one scan of terms.
+
+        terms are exact ints. One read-only int64 array covers their leading
+        run of entries in [0, 2**63), and one running maximum gives every
+        max_entry, so each order costs a tuple slice and O(1) more, where
+        _adopt converts and reduces the whole row. An order gets the view
+        base[:n] exactly when _adopt would give it an array: its last entry
+        is below 2**53 and every entry fits int64. A row with a negative
+        entry raises NegativeEntry before its array is read, so the run
+        stops at the first negative term. Rows are yielded lazily, so the
+        orders before the first with a negative entry are still built.
+        """
+        row = tuple(terms)
+        peaks = list(accumulate(row, max))
+        negative_at = len(row)
+        if min(row) < 0:
+            negative_at = next(i for i, c in enumerate(row) if c < 0)
+        run = min(negative_at, bisect_left(peaks, 2**63))
+        base = np.fromiter(row, np.int64, run)
+        base.flags.writeable = False
+        for n in orders:
+            array = base[:n] if n <= run and row[n - 1] < EXACT_DOUBLE_BOUND else None
+            yield cls._of_ints(row[:n], (array, peaks[n - 1], n > negative_at))
+
+    def _adopt(self, row: tuple[int, ...], scanned: tuple | None = None) -> None:
+        """Store row, a tuple of exact ints, with its int64 array and max_entry.
+
+        scanned, if given, is what the scan below finds for row: (its
+        int64 array or None, max_entry, whether an entry is negative), as
+        _nested precomputes it.
+        """
         if not row:
             raise ValueError("circulant matrix needs at least one entry")
         object.__setattr__(self, "first_row", row)
-        array = None
-        # Recurrence rows grow, so a last entry past the readers' bound skips the attempt.
-        if row[-1] < EXACT_DOUBLE_BOUND:
-            try:
-                array = np.fromiter(row, np.int64, len(row))
-            except OverflowError:
-                pass
-        if array is None:
-            negative, high = min(row) < 0, max(row)
+        if scanned is not None:
+            array, high, negative = scanned
         else:
-            array.flags.writeable = False
-            high = int(array.view(np.uint64).max())
-            negative = high >= 2**63
+            array = None
+            # Recurrence rows grow, so a last entry past the readers' bound skips the attempt.
+            if row[-1] < EXACT_DOUBLE_BOUND:
+                try:
+                    array = np.fromiter(row, np.int64, len(row))
+                except OverflowError:
+                    pass
+            if array is None:
+                negative, high = min(row) < 0, max(row)
+            else:
+                array.flags.writeable = False
+                high = int(array.view(np.uint64).max())
+                negative = high >= 2**63
         if negative:
             i = next(i for i, c in enumerate(row) if c < 0)
             bits = row[i].bit_length()  # past 4300 digits an int has no str()

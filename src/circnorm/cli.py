@@ -221,11 +221,10 @@ def _method_entry(r: spectral.MethodResult) -> dict:
     return dict(r._asdict(), value=value, exact_value=exact)
 
 
-def _circulants(seq: sequences.SequenceId, orders: list[int]):
-    """circ(t(0), ..., t(n-1)) for each n in orders, sliced from one prefix of exact ints."""
+def _circulants(terms: list[int], orders: list[int]):
+    """circ(terms[:n]) for each n in orders, all sliced from terms, a prefix of exact ints."""
     from . import circulant
-    terms = tuple(sequences.prefix(seq, max(orders)))
-    return (circulant.CirculantMatrix._of_ints(terms[:n]) for n in orders)
+    return circulant.CirculantMatrix._nested(terms, orders)
 
 
 #: What each command hands main to wrap: (results, ok).
@@ -253,13 +252,13 @@ def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
 
 
 def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[dict]]:
-    """Run the per-n audit and norm cross-check for one builtin."""
+    """Run the per-n audit and norm cross-check for one builtin, from the audit's prefix."""
     from . import spectral
-    audit = sequences.audit_closed_form_identity(name, n_max)
-    matrices = _circulants(name, [row.n for row in audit.rows])
+    audit, terms = sequences._audit(name, n_max)
+    matrices = _circulants(terms, range(1, n_max + 1))
+    closed_forms = sequences._closed_forms(name, 1, n_max)
     rows = []
-    for audit_row, matrix in zip(audit.rows, matrices):
-        shipped = sequences.closed_form_sum(name, audit_row.n)
+    for audit_row, matrix, shipped in zip(audit.rows, matrices, closed_forms):
         report = spectral.compare_methods(matrix, rel_tol=rel_tol)
         rows.append(
             {
@@ -324,7 +323,7 @@ def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
     from . import spectral
     rows = []
     all_agree = True
-    for n, matrix in zip(args.n, _circulants(seq, args.n)):
+    for n, matrix in zip(args.n, _circulants(sequences.prefix(seq, max(args.n)), args.n)):
         timed = [
             _timed(lambda: spectral.run_method(matrix, method), args.reps)
             for method in spectral.METHOD_NAMES

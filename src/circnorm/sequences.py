@@ -13,9 +13,11 @@ list as list.extend grows it, so no Python bytecode runs per term.
 term jumps straight to one index by polynomial exponentiation (C. M.
 Fiduccia, SIAM J. Comput. 14(1), 1985) in O(k**2 log n) multiplications,
 and each further consecutive term costs one multiply by x of the same
-polynomial, so closed_form_sum, which needs at most three consecutive
-terms, costs one exponentiation of O(log n) products rather than a walk
-from t(0).
+polynomial. So closed_form_sum at one n, which reads at most three
+consecutive terms, costs one exponentiation of O(log n) products rather
+than a walk from t(0); the closed forms for every n in lo..hi (what
+verify checks) come from one such exponentiation and one multiply by x
+per further n. Neither reads prefix.
 """
 
 from __future__ import annotations
@@ -274,20 +276,37 @@ def closed_form_sum(seq: SequenceId, n: int) -> int:
     F(n+2) + F(n) - 1 (equivalently L(n+1) - 1) and (P(n) + P(n-1) - 1) / 2.
     Perrin ships R(n+4) - 2: the identity as usually published,
     R(n+4) - 1, overshoots direct summation by exactly one at every n
-    (run audit_closed_form_identity to see this per n).
+    (run audit_closed_form_identity to see this per n). The value is the
+    one-index case of _closed_forms: one polynomial exponentiation, O(log n)
+    big-integer products, yields the two or three consecutive terms the
+    form reads; no prefix is generated.
 
     Raises UnsupportedSequence for custom recurrence specs.
     """
     if n < 1:
         raise ValueError("term count must be positive")
-    name = _builtin_name(seq)
+    return _closed_forms(_builtin_name(seq), n, n)[0]
+
+
+def _closed_forms(name: str, lo: int, hi: int) -> list[int]:
+    """closed_form_sum(name, n) for n = lo, ..., hi, from one _window walk.
+
+    The forms for lo..hi read terms lo + first through hi + last of one
+    sequence, so one exponentiation reaches the first of them and each
+    further n costs one multiply by x: O(log lo + (hi - lo)) polynomial
+    products in all, for 1 <= lo <= hi and a lower-case builtin name.
+    """
     _, constant, divisor, source, (first, last), form = _SUM_IDENTITIES[name]
-    window = _window(BUILTIN_SEQUENCES[source], n + first, last - first + 1)
-    numerator = form(lambda i: window[i - n - first], n)
-    value, rem = divmod(numerator - constant, divisor)
-    if rem:  # unreachable: Pell parities alternate, so the numerator is even
-        raise ArithmeticError("Pell closed form produced an odd numerator")
-    return value
+    start = lo + first
+    window = _window(BUILTIN_SEQUENCES[source], start, hi - lo + last - first + 1)
+    s = lambda i: window[i - start]
+    values = []
+    for n in range(lo, hi + 1):
+        value, rem = divmod(form(s, n) - constant, divisor)
+        if rem:  # unreachable: Pell parities alternate, so the numerator is even
+            raise ArithmeticError("Pell closed form produced an odd numerator")
+        values.append(value)
+    return values
 
 
 class AuditRow(NamedTuple):
@@ -327,6 +346,18 @@ def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:
     ships. The audit keeps the published form verbatim so the mismatch
     stays visible.
     """
+    return _audit(seq, n_max)[0]
+
+
+def _audit(seq: SequenceId, n_max: int) -> tuple[IdentityAudit, list[int]]:
+    """audit_closed_form_identity(seq, n_max) and the prefix its direct sums read.
+
+    That prefix holds the sequence's own first n_max terms or more, so
+    verify slices its circulants from it rather than generating them again.
+    Where the identity reads the sequence itself, it is the one prefix the
+    audit generates, n_max + last + 1 terms long; lucas's identity reads a
+    Fibonacci prefix, so its audit also generates n_max Lucas terms.
+    """
     if n_max < 1:
         raise ValueError("n_max must be positive")
     name = _builtin_name(seq)
@@ -340,4 +371,4 @@ def audit_closed_form_identity(seq: SequenceId, n_max: int) -> IdentityAudit:
         running += own[n - 1]
         value, rem = divmod(form(terms.__getitem__, n) - 1, divisor)
         rows.append(AuditRow(n, value, running, rem == 0 and value == running))
-    return IdentityAudit(name, published, tuple(rows))
+    return IdentityAudit(name, published, tuple(rows)), own

@@ -186,7 +186,7 @@ class TestEntryForExactInts:
     def test_builtins_match_constructor(self, name):
         orders = [*range(1, 121), 500]
         terms = prefix(name, 500)
-        for n, sliced in zip(orders, _circulants(name, orders)):
+        for n, sliced in zip(orders, _circulants(terms, orders)):
             expected = CirculantMatrix(terms[:n])
             assert_same_matrix(from_sequence(name, n), expected)
             assert_same_matrix(sliced, expected)
@@ -231,6 +231,79 @@ class TestEntryForExactInts:
         assert all(type(c) is int for c in m.first_row)
         with pytest.raises(TypeError):
             CirculantMatrix((1.5,))
+
+
+def assert_nested_match_constructor(terms, orders):
+    """_circulants(terms, orders) builds what the constructor builds at each order.
+
+    The builder stops at the first order whose row has a negative entry,
+    with the constructor's message; the orders after it are checked in a
+    fresh build.
+    """
+    remaining = list(orders)
+    while remaining:
+        built = _circulants(terms, remaining)
+        for i, n in enumerate(remaining):
+            try:
+                expected = CirculantMatrix(terms[:n])
+            except NegativeEntry as exc:
+                with pytest.raises(NegativeEntry) as caught:
+                    next(built)
+                assert str(caught.value) == str(exc)
+                remaining = remaining[i + 1:]
+                break
+            assert_same_matrix(next(built), expected)
+        else:
+            remaining = []
+
+
+class TestNestedBuild:
+    """cli._circulants slices every order from one int64 array and one running maximum.
+
+    Each matrix must equal what the constructor builds from its row, down
+    to the read-only int64 row (not one entry short) and the NegativeEntry
+    message, at orders given unsorted and repeated.
+    """
+
+    @given(
+        coefficients=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=-3, max_value=3),
+                st.integers(min_value=2**63, max_value=2**70),
+                st.integers(min_value=-(2**70), max_value=-(2**63)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_custom_specs_match_constructor(self, coefficients, data):
+        k = len(coefficients)
+        init = data.draw(st.lists(st.integers(min_value=0, max_value=9), min_size=k, max_size=k))
+        count = 3 * k + 5
+        terms = prefix(RecurrenceSpec(tuple(coefficients), tuple(init)), count)
+        orders = data.draw(st.lists(st.integers(min_value=1, max_value=count), min_size=1))
+        assert_nested_match_constructor(terms, orders)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            (1, 2, -1, -7, 4),  # the recurrence (1, -3) from (1, 2): negative from index 2
+            (4, 2**63, 5, 6),  # past int64, then small entries: no array from order 2 on
+            (2**53 - 1, 2**53, 7, 2**63 - 1, 3, -(2**63), 1),
+            (9, 2**70, -(2**70), 3),
+        ],
+    )
+    def test_rows_past_int64_and_negatives(self, terms):
+        orders = [4, 1, 3, 2, 2, 1, len(terms), 3]
+        assert_nested_match_constructor(list(terms), orders)
+
+    def test_perrin_max_entry_is_a_running_maximum(self):
+        # Perrin starts 3, 0, 2, 3, 2, 5: the last entry is not the largest.
+        orders = range(1, 11)
+        peaks = [m.max_entry for m in _circulants(prefix("perrin", 10), orders)]
+        assert peaks == [3, 3, 3, 3, 3, 5, 5, 7, 10, 12]
 
 
 class TestOneReduction:

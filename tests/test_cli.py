@@ -261,11 +261,13 @@ class TestVerifyCommand:
         assert len(doc["results"]["rows"]) == 4
 
     def test_corrupted_closed_form_fails(self, capsys, monkeypatch):
-        honest = circnorm.sequences.closed_form_sum
+        # verify reads every n's closed form from _closed_forms, and seq --sum
+        # reads its one through closed_form_sum, which is _closed_forms at lo == hi.
+        honest = circnorm.sequences._closed_forms
         monkeypatch.setattr(
             circnorm.sequences,
-            "closed_form_sum",
-            lambda seq, n: honest(seq, n) + 1,
+            "_closed_forms",
+            lambda name, lo, hi: [value + 1 for value in honest(name, lo, hi)],
         )
         code, out, _ = run_cli(capsys, "verify", "--id", "lucas", "--n-max", "5")
         doc = parse_record(out)
@@ -273,6 +275,27 @@ class TestVerifyCommand:
         assert doc["results"]["ok"] is False
         (summary,) = doc["results"]["sequences"]
         assert summary["closed_form_matches"] == 0
+        code, out, _ = run_cli(capsys, "seq", "--id", "lucas", "--n", "5", "--sum")
+        results = parse_record(out)["results"]
+        assert code == 0
+        assert results["closed_form_matches"] is False
+        assert int(results["closed_form_sum"]) == int(results["prefix_sum"]) + 1
+
+    def test_one_prefix_per_sequence(self, capsys, monkeypatch):
+        # The audit's prefix also gives the circulants; lucas's identity reads Fibonacci.
+        honest = circnorm.sequences.prefix
+        calls = []
+
+        def counted(seq, n):
+            calls.append((seq, n))
+            return honest(seq, n)
+
+        monkeypatch.setattr(circnorm.sequences, "prefix", counted)
+        code, _, _ = run_cli(capsys, "verify", "--id", "all", "--n-max", "20")
+        assert code == 0
+        assert calls == [
+            ("fibonacci", 22), ("fibonacci", 23), ("lucas", 20), ("pell", 21), ("perrin", 25),
+        ]
 
     def test_csv_table(self, capsys):
         code, out, err = run_cli(

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from circnorm import (
     resolve,
     term,
 )
-from circnorm.sequences import AuditRow, IdentityAudit, _window
+from circnorm.sequences import AuditRow, IdentityAudit, _audit, _closed_forms, _window
 
 from conftest import oracle_builtin, oracle_terms
 
@@ -266,6 +268,32 @@ class TestClosedFormSum:
             closed_form_sum("fibonacci", 0)
 
 
+class TestClosedForms:
+    """_closed_forms reads the shipped form at every n in lo..hi off one _window walk.
+
+    The ranges start at 1, mid-sequence and at one index, and cross 500, so
+    a walk started one term late, a window one term short (the last n reads
+    past it) and the published constant (Perrin's is 1, its shipped one 2)
+    each fail here.
+    """
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("lo, hi", [(1, 600), (37, 80), (250, 250), (499, 505)])
+    def test_equals_closed_form_sum_and_prefix_sum(self, name, lo, hi):
+        expected = list(accumulate(prefix(name, hi)))[lo - 1:]
+        assert len(expected) == hi - lo + 1
+        assert _closed_forms(name, lo, hi) == expected
+        assert [closed_form_sum(name, n) for n in range(lo, hi + 1)] == expected
+
+    def test_never_reads_prefix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closed forms must not read prefix")
+
+        monkeypatch.setattr(circnorm.sequences, "prefix", refuse)
+        assert _closed_forms("perrin", 1, 10) == [3, 3, 5, 8, 10, 15, 20, 27, 37, 49]
+        assert closed_form_sum("pell", 3) == 3
+
+
 class TestAudit:
     def test_fibonacci_all_match(self):
         audit = audit_closed_form_identity("fibonacci", 50)
@@ -321,6 +349,14 @@ class TestAudit:
     def test_custom_unsupported(self):
         with pytest.raises(UnsupportedSequence):
             audit_closed_form_identity(RecurrenceSpec((1,), (1,)), 5)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_returns_the_prefix_its_direct_sums_read(self, name):
+        # verify slices its circulants from this prefix; lucas's identity reads Fibonacci.
+        audit, terms = _audit(name, 40)
+        assert audit == audit_closed_form_identity(name, 40)
+        assert len(terms) >= 40 and terms == oracle_builtin(name, len(terms))
+        assert [row.direct_sum for row in audit.rows] == list(accumulate(terms[:40]))
 
     def test_n_max_must_be_positive(self):
         with pytest.raises(ValueError, match="n_max must be positive"):
