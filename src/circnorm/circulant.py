@@ -55,22 +55,26 @@ class CirculantMatrix:
     and bools become ints and floats raise TypeError. Rows that prefix
     generates skip that pass (see from_sequence): their entries are
     already exact ints. max_entry is the largest entry, found once at
-    construction; every guard and to_dense compare it. When the last
-    entry is below 2**53 (the dft guard, so every reader of the array is
-    behind it), the row is also converted once to a read-only int64 array,
-    which the dft and power routes and eigenvalues_dft share. Then sign and
+    construction; every guard and to_dense compare it. entry_sum is the
+    exact sum of the entries, also found once at construction, in Python
+    ints (an int64 sum wraps past 2**63); spectral_norm_sum and
+    all_ones_eigencheck read it. When the last entry is below 2**53 (the
+    dft guard, so every reader of the array is behind it), the row is also
+    converted once to a read-only int64 array, which the dft and power
+    routes and eigenvalues_dft share. Then sign and
     max_entry come from one reduction, the maximum of the array's uint64
     view: a negative int64 reads there as 2**63 or more, and for a
     nonnegative row the view's maximum is the row's. A row with no array
     (its last entry reaches 2**53, or an entry lies outside int64) is
     checked by Python passes instead. Rows sliced from one prefix (verify
     and bench, through _nested) skip both: their arrays are read-only
-    views of one array, and a running maximum gives max_entry. Equality,
-    hash and repr use first_row only.
+    views of one array, and a running maximum and a running sum give
+    max_entry and entry_sum. Equality, hash and repr use first_row only.
     """
 
     first_row: tuple[int, ...]
     max_entry: int = field(init=False, repr=False, compare=False)
+    entry_sum: int = field(init=False, repr=False, compare=False)
     _int64_row: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -88,10 +92,11 @@ class CirculantMatrix:
         """circ(terms[:n]) for each n in orders (1 <= n <= len(terms)), from one scan of terms.
 
         terms are exact ints. One read-only int64 array covers their leading
-        run of entries in [0, 2**63), and one running maximum gives every
-        max_entry, so each order costs a tuple slice and O(1) more, where
-        _adopt converts and reduces the whole row. An order gets the view
-        base[:n] exactly when _adopt would give it an array: its last entry
+        run of entries in [0, 2**63), one running maximum gives every
+        max_entry and one running sum, in Python ints, every entry_sum. So
+        each order costs a tuple slice and O(1) more, where _adopt converts,
+        reduces and sums the whole row. An order gets the view base[:n]
+        exactly when _adopt would give it an array: its last entry
         is below 2**53 and every entry fits int64. A row with a negative
         entry raises NegativeEntry before its array is read, so the run
         stops at the first negative term. Rows are yielded lazily, so the
@@ -99,6 +104,7 @@ class CirculantMatrix:
         """
         row = tuple(terms)
         peaks = list(accumulate(row, max))
+        sums = list(accumulate(row))
         negative_at = len(row)
         if min(row) < 0:
             negative_at = next(i for i, c in enumerate(row) if c < 0)
@@ -107,21 +113,22 @@ class CirculantMatrix:
         base.flags.writeable = False
         for n in orders:
             array = base[:n] if n <= run and row[n - 1] < EXACT_DOUBLE_BOUND else None
-            yield cls._of_ints(row[:n], (array, peaks[n - 1], n > negative_at))
+            yield cls._of_ints(row[:n], (array, peaks[n - 1], sums[n - 1], n > negative_at))
 
     def _adopt(self, row: tuple[int, ...], scanned: tuple | None = None) -> None:
-        """Store row, a tuple of exact ints, with its int64 array and max_entry.
+        """Store row, a tuple of exact ints, with its int64 array, max_entry and entry_sum.
 
         scanned, if given, is what the scan below finds for row: (its
-        int64 array or None, max_entry, whether an entry is negative), as
-        _nested precomputes it.
+        int64 array or None, max_entry, entry_sum, whether an entry is
+        negative), as _nested precomputes it.
         """
         if not row:
             raise ValueError("circulant matrix needs at least one entry")
         object.__setattr__(self, "first_row", row)
         if scanned is not None:
-            array, high, negative = scanned
+            array, high, total, negative = scanned
         else:
+            total = sum(row)
             array = None
             # Recurrence rows grow, so a last entry past the readers' bound skips the attempt.
             if row[-1] < EXACT_DOUBLE_BOUND:
@@ -140,6 +147,7 @@ class CirculantMatrix:
             bits = row[i].bit_length()  # past 4300 digits an int has no str()
             raise NegativeEntry(f"first row entry at index {i} is negative, of {bits} bits")
         object.__setattr__(self, "max_entry", high)
+        object.__setattr__(self, "entry_sum", total)
         object.__setattr__(self, "_int64_row", array)
 
     @property
@@ -167,10 +175,10 @@ def from_sequence(seq: SequenceId, n: int) -> CirculantMatrix:
     ints. When the row gets its int64 array (its last term is below 2**53
     and every term fits int64), the sign check and max_entry take one
     reduction over the array's uint64 view; otherwise, as for fibonacci
-    from n = 80, they take Python passes (see CirculantMatrix). Raises
-    NegativeEntry if any of the first n terms is negative, which can
-    happen for custom recurrences; the four builtins are nonnegative
-    everywhere.
+    from n = 80, they take Python passes (see CirculantMatrix). entry_sum
+    takes one Python sum either way. Raises NegativeEntry if any of the
+    first n terms is negative, which can happen for custom recurrences;
+    the four builtins are nonnegative everywhere.
     """
     return CirculantMatrix._of_ints(prefix(seq, n))
 
@@ -277,10 +285,9 @@ def all_ones_eigencheck(matrix: CirculantMatrix) -> list[int]:
     """Exact residual of the all-ones eigenvector identity.
 
     Returns matvec_naive(matrix, ones) - entry_sum * ones in integer
-    arithmetic. The zero vector certifies that every row sums to the
-    entry sum, i.e. that the entry sum is an eigenvalue with the
-    all-ones eigenvector.
+    arithmetic, entry_sum being the one the matrix took at construction.
+    The zero vector certifies that every row sums to the entry sum, i.e.
+    that the entry sum is an eigenvalue with the all-ones eigenvector.
     """
-    total = sum(matrix.first_row)
     ones = [1] * matrix.order
-    return [y - total for y in matvec_naive(matrix, ones)]
+    return [y - matrix.entry_sum for y in matvec_naive(matrix, ones)]

@@ -55,8 +55,12 @@ METHOD_NAMES = ("sum", "dft", "power")
 
 
 def spectral_norm_sum(matrix: CirculantMatrix) -> int:
-    """Exact spectral norm of a nonnegative circulant: the first-row sum."""
-    return sum(matrix.first_row)
+    """Exact spectral norm of a nonnegative circulant: the first-row sum.
+
+    That is matrix.entry_sum, summed exactly once at construction, so the
+    route itself costs O(1) (see CirculantMatrix).
+    """
+    return matrix.entry_sum
 
 
 def _dft_skip(matrix: CirculantMatrix) -> str | None:

@@ -91,6 +91,30 @@ class TestCirculantMatrix:
         assert repr(a) == "CirculantMatrix(first_row=(3, 0, 2))"
 
     @pytest.mark.parametrize(
+        "row",
+        [
+            tuple(np.array([3, 9, 2], dtype=np.int64)),
+            tuple(np.array([7, 1], dtype=np.uint64)),
+            (2**64 + 5, 1, 2**63),
+            (1, 10**400, 0),
+            (0, 0, 0),
+            (2**63 - 1, 2**63 - 1, 5),  # an int64 row whose sum passes 2**63
+            (2**53 - 1,) * 2048,  # an int64 row below the dft guard whose sum passes 2**64
+        ],
+    )
+    def test_entry_sum_is_exact_sum(self, row):
+        m = CirculantMatrix(row)
+        assert m.entry_sum == sum(int(c) for c in row)
+        assert type(m.entry_sum) is int
+
+    def test_entry_sum_stays_out_of_equality_hash_and_repr(self):
+        a, b = CirculantMatrix((3, 0, 2)), CirculantMatrix((3, 0, 2))
+        assert a.entry_sum == 5
+        object.__setattr__(b, "entry_sum", 6)
+        assert a == b and hash(a) == hash(b)
+        assert repr(b) == "CirculantMatrix(first_row=(3, 0, 2))"
+
+    @pytest.mark.parametrize(
         "row, index, bits",
         [
             ((1, -5, 2), 1, 3),  # int64 row: the check runs on the array
@@ -166,6 +190,8 @@ def assert_same_matrix(got, expected):
     assert all(type(c) is int for c in got.first_row)
     assert got.max_entry == expected.max_entry
     assert type(got.max_entry) is int and type(expected.max_entry) is int
+    assert got.entry_sum == expected.entry_sum == sum(expected.first_row)
+    assert type(got.entry_sum) is int and type(expected.entry_sum) is int
     if expected._int64_row is None:
         assert got._int64_row is None
     else:
@@ -293,6 +319,7 @@ class TestNestedBuild:
             (4, 2**63, 5, 6),  # past int64, then small entries: no array from order 2 on
             (2**53 - 1, 2**53, 7, 2**63 - 1, 3, -(2**63), 1),
             (9, 2**70, -(2**70), 3),
+            (2**53 - 1,) * 2048,  # running sums pass 2**64 where every order has its array
         ],
     )
     def test_rows_past_int64_and_negatives(self, terms):

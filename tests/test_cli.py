@@ -275,6 +275,9 @@ class TestVerifyCommand:
         assert doc["results"]["ok"] is False
         (summary,) = doc["results"]["sequences"]
         assert summary["closed_form_matches"] == 0
+        for row in doc["results"]["rows"]:
+            assert int(row["closed_form"]) == int(row["direct_sum"]) + 1
+            assert row["published_value"] == row["direct_sum"]
         code, out, _ = run_cli(capsys, "seq", "--id", "lucas", "--n", "5", "--sum")
         results = parse_record(out)["results"]
         assert code == 0
@@ -418,6 +421,45 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+class TestParserReuse:
+    """main parses with one parser per process; no call may leave anything in it for the next.
+
+    Each call of the sequence must write what a run with a fresh
+    build_parser() writes.
+    """
+
+    SEQUENCE = [
+        ("norm", "--id", "lucas", "--n", "6", "--methods", "sum"),
+        ("norm", "--id", "lucas", "--n", "6"),  # the default runs all three methods
+        ("verify", "--id", "perrin", "--n-max", "4", "--format", "csv"),
+        ("verify", "--id", "perrin", "--n-max", "4"),  # the default writes JSON
+        ("seq", "--id", "pell", "--n", "5"),
+        ("seq", "--id", "custom", "--n", "5"),  # usage error, exit 2
+        ("seq", "--id", "pell", "--n", "5"),
+    ]
+
+    @staticmethod
+    def run(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_outputs_equal_fresh_parser_runs(self, capsys, monkeypatch):
+        assert circnorm.cli._parser() is circnorm.cli._parser()
+        reused = [self.run(capsys, argv) for argv in self.SEQUENCE]
+        monkeypatch.setattr(circnorm.cli, "_parser", circnorm.cli.build_parser)
+        fresh = [self.run(capsys, argv) for argv in self.SEQUENCE]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0]
+        methods = parse_record(reused[1][1])["results"]["methods"]
+        assert [m["method"] for m in methods] == ["sum", "dft", "power"]
+        assert parse_record(reused[3][1])["parameters"]["format"] == "json"
+        assert reused[4] == reused[6]
 
 
 class TestUsageErrors:
