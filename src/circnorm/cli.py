@@ -36,7 +36,7 @@ from . import sequences
 from .errors import CircnormError
 from .sequences import _decimal, _from_decimal
 
-__all__ = ["OutputRecord", "load_output_schema", "parse_spec", "build_parser", "main"]
+__all__ = ["OutputRecord", "load_output_schema", "parse_spec", "main"]
 
 
 class OutputRecord(NamedTuple):
@@ -125,8 +125,9 @@ def _positive_float(text: str) -> float:
 _BUILTIN_IDS = tuple(sorted(sequences.BUILTIN_SEQUENCES))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the four commands; main reuses one per process (see _parser)."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the four commands, built once per process: it holds constants, never input."""
     parser = argparse.ArgumentParser(
         prog="circnorm",
         description=(
@@ -186,12 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built once per process: it holds only constants, never input."""
-    return build_parser()
-
-
 def _sequence_from_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> sequences.SequenceId:
@@ -229,12 +224,6 @@ def _method_entry(r: spectral.MethodResult) -> dict:
     return dict(r._asdict(), value=value, exact_value=exact)
 
 
-def _circulants(terms: list[int], orders: list[int]):
-    """circ(terms[:n]) for each n in orders, all sliced from terms, a prefix of exact ints."""
-    from . import circulant
-    return circulant.CirculantMatrix._nested(terms, orders)
-
-
 #: What each command hands main to wrap: (results, ok).
 _Outcome = tuple[dict, bool]
 
@@ -260,15 +249,16 @@ def cmd_norm(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
 
 
 def _verify_sequence(name: str, n_max: int, rel_tol: float) -> tuple[dict, list[dict]]:
-    """Run the per-n audit and norm cross-check for one builtin, from the audit's prefix."""
-    from . import spectral
+    """Check one builtin for each n <= n_max: _audit, _closed_forms and the _nested circulants."""
+    from . import circulant, spectral
     audit, terms = sequences._audit(name, n_max)
-    matrices = _circulants(terms, range(1, n_max + 1))
+    matrices = circulant.CirculantMatrix._nested(terms, range(1, n_max + 1))
     closed_forms = sequences._closed_forms(name, 1, n_max)
     rows = []
     for audit_row, matrix, shipped in zip(audit.rows, matrices, closed_forms):
         report = spectral.compare_methods(matrix, rel_tol=rel_tol)
-        direct, published = audit_row.direct_sum, audit_row.published_value
+        # direct is the sum route's value: closed_form_matches checks that route at every n.
+        direct, published = matrix.entry_sum, audit_row.published_value
         text = _decimal(direct)  # the three values are mostly equal: one string per distinct int
         rows.append(
             {
@@ -330,10 +320,11 @@ def _timed(func, reps: int) -> tuple[float, object]:
 
 
 def cmd_bench(seq: sequences.SequenceId, args: argparse.Namespace) -> _Outcome:
-    from . import spectral
+    from . import circulant, spectral
     rows = []
     all_agree = True
-    for n, matrix in zip(args.n, _circulants(sequences.prefix(seq, max(args.n)), args.n)):
+    matrices = circulant.CirculantMatrix._nested(sequences.prefix(seq, max(args.n)), args.n)
+    for n, matrix in zip(args.n, matrices):
         timed = [
             _timed(lambda: spectral.run_method(matrix, method), args.reps)
             for method in spectral.METHOD_NAMES

@@ -66,6 +66,12 @@ def test_public_surface():
         getattr(module, name)
 
 
+def test_cli_surface():
+    assert circnorm.cli.__all__ == ["OutputRecord", "load_output_schema", "parse_spec", "main"]
+    for name in circnorm.cli.__all__:
+        getattr(circnorm.cli, name)
+
+
 #: Every public name, by the submodule it is read from on each access.
 LAZY = {
     "errors": [

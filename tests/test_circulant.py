@@ -17,7 +17,6 @@ from circnorm import (
     prefix,
     to_dense,
 )
-from circnorm.cli import _circulants
 
 from conftest import oracle_dense, oracle_dft, oracle_matvec
 
@@ -202,7 +201,7 @@ def assert_same_matrix(got, expected):
 
 
 class TestEntryForExactInts:
-    """from_sequence and cli._circulants skip the constructor's operator.index pass.
+    """from_sequence and CirculantMatrix._nested skip the constructor's operator.index pass.
 
     Whatever they build must equal what the public constructor builds from
     the same terms, down to the int64 row and the NegativeEntry message.
@@ -212,7 +211,7 @@ class TestEntryForExactInts:
     def test_builtins_match_constructor(self, name):
         orders = [*range(1, 121), 500]
         terms = prefix(name, 500)
-        for n, sliced in zip(orders, _circulants(terms, orders)):
+        for n, sliced in zip(orders, CirculantMatrix._nested(terms, orders)):
             expected = CirculantMatrix(terms[:n])
             assert_same_matrix(from_sequence(name, n), expected)
             assert_same_matrix(sliced, expected)
@@ -260,7 +259,7 @@ class TestEntryForExactInts:
 
 
 def assert_nested_match_constructor(terms, orders):
-    """_circulants(terms, orders) builds what the constructor builds at each order.
+    """CirculantMatrix._nested(terms, orders) builds what the constructor builds at each order.
 
     The builder stops at the first order whose row has a negative entry,
     with the constructor's message; the orders after it are checked in a
@@ -268,7 +267,7 @@ def assert_nested_match_constructor(terms, orders):
     """
     remaining = list(orders)
     while remaining:
-        built = _circulants(terms, remaining)
+        built = CirculantMatrix._nested(terms, remaining)
         for i, n in enumerate(remaining):
             try:
                 expected = CirculantMatrix(terms[:n])
@@ -284,7 +283,7 @@ def assert_nested_match_constructor(terms, orders):
 
 
 class TestNestedBuild:
-    """cli._circulants slices every order from one int64 array and one running maximum.
+    """CirculantMatrix._nested slices every order from one int64 array and one running maximum.
 
     Each matrix must equal what the constructor builds from its row, down
     to the read-only int64 row (not one entry short) and the NegativeEntry
@@ -329,7 +328,7 @@ class TestNestedBuild:
     def test_perrin_max_entry_is_a_running_maximum(self):
         # Perrin starts 3, 0, 2, 3, 2, 5: the last entry is not the largest.
         orders = range(1, 11)
-        peaks = [m.max_entry for m in _circulants(prefix("perrin", 10), orders)]
+        peaks = [m.max_entry for m in CirculantMatrix._nested(prefix("perrin", 10), orders)]
         assert peaks == [3, 3, 3, 3, 3, 5, 5, 7, 10, 12]
 
 

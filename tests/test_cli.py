@@ -284,6 +284,27 @@ class TestVerifyCommand:
         assert results["closed_form_matches"] is False
         assert int(results["closed_form_sum"]) == int(results["prefix_sum"]) + 1
 
+    def test_corrupted_sum_route_fails(self, capsys, monkeypatch):
+        # Past 2**53 only the sum route is in guard, so its entry_sum meets no other
+        # route there: closed_form_matches must still catch it, on those 41 rows.
+        honest = circnorm.circulant.CirculantMatrix._nested
+
+        def corrupted(terms, orders):
+            for matrix in honest(terms, orders):
+                if matrix.max_entry >= circnorm.circulant.EXACT_DOUBLE_BOUND:
+                    object.__setattr__(matrix, "entry_sum", matrix.entry_sum + 1)
+                yield matrix
+
+        monkeypatch.setattr(circnorm.circulant.CirculantMatrix, "_nested", staticmethod(corrupted))
+        code, out, _ = run_cli(capsys, "verify", "--id", "fibonacci", "--n-max", "120")
+        doc = parse_record(out)
+        assert code == 1
+        assert doc["results"]["ok"] is False
+        (summary,) = doc["results"]["sequences"]
+        assert summary["closed_form_matches"] == 79
+        assert summary["published_matches"] == 120
+        assert summary["norm_agreements"] == 120
+
     def test_one_prefix_per_sequence(self, capsys, monkeypatch):
         # The audit's prefix also gives the circulants; lucas's identity reads Fibonacci.
         honest = circnorm.sequences.prefix
@@ -424,10 +445,10 @@ class TestDeterminism:
 
 
 class TestParserReuse:
-    """main parses with one parser per process; no call may leave anything in it for the next.
+    """main parses with _parser's one parser per process; no call may leave anything in it.
 
-    Each call of the sequence must write what a run with a fresh
-    build_parser() writes.
+    Each call of the sequence must write what a run with a fresh parser,
+    from the uncached _parser.__wrapped__(), writes.
     """
 
     SEQUENCE = [
@@ -452,7 +473,7 @@ class TestParserReuse:
     def test_outputs_equal_fresh_parser_runs(self, capsys, monkeypatch):
         assert circnorm.cli._parser() is circnorm.cli._parser()
         reused = [self.run(capsys, argv) for argv in self.SEQUENCE]
-        monkeypatch.setattr(circnorm.cli, "_parser", circnorm.cli.build_parser)
+        monkeypatch.setattr(circnorm.cli, "_parser", circnorm.cli._parser.__wrapped__)
         fresh = [self.run(capsys, argv) for argv in self.SEQUENCE]
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0]
