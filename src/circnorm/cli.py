@@ -9,13 +9,16 @@ verify's methods list is JSON-only. A CircnormError raised by a command
 yields the JSON error document and exit 1 under either --format, and so
 does running out of memory (a huge --n or --n-max) in a command or while
 writing its JSON document, though not while writing a CSV table, which
-goes out row by row. Diagnostics go to stderr. Exact integers are
-serialized as decimal strings, at any size, so they survive JSON
-consumers that parse numbers as float64. Only the functions that build
-matrices or norms import the numpy-backed circulant and spectral
-modules, so seq, --help and usage errors run without numpy. Of the usage
-errors, only an unknown --methods name loads it, since the names are
-checked against spectral.METHOD_NAMES.
+goes out row by row. The JSON document is the text of json.dumps(doc,
+indent=2): two-space indent, keys in build order, ASCII with \\u escapes.
+json.dumps writes it from Python 3.13 on, where json writes an indent in
+C; before, _jsontext writes the same bytes from batched C-encoder calls.
+Diagnostics go to stderr. Exact integers are serialized as decimal
+strings, at any size, so they survive JSON consumers that parse numbers
+as float64. Only the functions that build matrices or norms import the
+numpy-backed circulant and spectral modules, so seq, --help and usage
+errors run without numpy. Of the usage errors, only an unknown --methods
+name loads it, since the names are checked against spectral.METHOD_NAMES.
 
 Exit codes: 0 success / all checks agree, 1 verification or computation
 failure, 2 usage error.
@@ -52,8 +55,14 @@ class OutputRecord(NamedTuple):
 
     def to_json(self) -> str:
         payload = {key: value for key, value in self._asdict().items() if value is not None}
-        # Every payload is a fresh tree of dicts, lists and scalars: no cycle to catch.
-        return json.dumps(payload, indent=2, allow_nan=False, check_circular=False)
+        return _dumps(payload)
+
+
+if sys.version_info >= (3, 13):  # json writes an indent in C from 3.13 on
+    # Every payload is a fresh tree of dicts, lists and scalars: no cycle to catch.
+    _dumps = functools.partial(json.dumps, indent=2, allow_nan=False, check_circular=False)
+else:
+    from ._jsontext import dumps as _dumps
 
 
 def load_output_schema() -> dict:
@@ -159,6 +168,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=_positive_int, help="matrix order")
     p.add_argument(
         "--methods",
+        type=_ascii,  # str.strip() would also drop non-ASCII spaces around a name
         default="all",
         help="comma list from {sum,dft,power}, or 'all' (default)",
     )

@@ -525,6 +525,13 @@ class TestUsageErrors:
         assert excinfo.value.code == 2
         assert "non-ASCII characters in" in capsys.readouterr().err
 
+    def test_non_ascii_space_in_methods_rejected(self, capsys):
+        # str.strip() also drops U+3000, so this list would run as sum,dft.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["norm", "--id", "fibonacci", "--n", "5", "--methods", "sum,\u3000dft"])
+        assert excinfo.value.code == 2
+        assert "non-ASCII characters in" in capsys.readouterr().err
+
     def test_unknown_method_beside_all(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["norm", "--id", "fibonacci", "--n", "4", "--methods", "all,nosuch"])
@@ -753,8 +760,16 @@ class TestOutOfMemory:
             ["verify", "--id", "fibonacci", "--n-max", "10000000000"],
             ["bench", "--id", "custom", "--spec", "k=1;coef=0;init=0",
              "--n", "3,10000000000", "--reps", "1"],
-            # The terms fit under the cap; their JSON document does not.
-            ["seq", "--id", "custom", "--spec", "k=1;coef=1;init=1", "--n", "2000000"],
+            # The terms fit under the 2**28-byte (268 MB) cap; their JSON document
+            # does not. Every term of t(n) = t(n - 1) from t(0) = 10**299 is one int,
+            # but each decimal string is its own 352-byte object (349 rounded up to
+            # pymalloc's size class), and each line of the document, 4 spaces, 302
+            # quoted characters and ",\n", takes 308 bytes. At --n 550000 the terms,
+            # two 8-byte list slots and a string each, take 368 * 550000 = 202 MB;
+            # the strings (360 * 550000 = 198 MB) and the document text alone
+            # (308 * 550000 = 169 MB) together pass the cap, however it is written.
+            ["seq", "--id", "custom", "--spec", "k=1;coef=1;init=1" + "0" * 299,
+             "--n", "550000"],
         ],
         ids=["seq", "norm", "verify", "bench", "seq-document"],
     )
